@@ -36,9 +36,10 @@ smoke:
 smoke-persist:
 	sh scripts/persist_smoke.sh
 
-# Starts thermflowd with auth + rate limiting and exercises the v2 job
-# lifecycle end to end: 401, submit/wait/done, duplicate-submit
-# convergence, ID-keyed batch stream, 429 (the CI jobs smoke step).
+# Starts thermflowd with auth and exercises the job lifecycle end to
+# end: 401, submit/wait/done, duplicate-submit convergence, ID-keyed
+# batch stream, and a 429 from a default-profile quota file (the CI
+# jobs smoke step).
 smoke-jobs:
 	sh scripts/jobs_smoke.sh
 

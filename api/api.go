@@ -4,33 +4,32 @@
 //
 // Endpoints:
 //
-//	POST   /v1/compile       CompileRequest   -> CompileResponse
-//	POST   /v1/batch         BatchRequest     -> NDJSON stream of BatchItem
-//	GET    /v1/kernels                        -> KernelsResponse
-//	GET    /v1/cache                          -> CacheStats
-//	DELETE /v1/cache                          -> CacheStats (zeroed)
 //	POST   /v2/jobs          JobRequest       -> JobStatus (async handle)
 //	GET    /v2/jobs/{id}                      -> JobStatus
 //	GET    /v2/jobs/{id}/wait                 -> JobStatus (long poll)
+//	GET    /v2/jobs/{id}/trace                -> TraceResponse
 //	POST   /v2/batch         JobsBatchRequest -> NDJSON stream of JobItem
-//	GET    /v2/stats                          -> StatsResponse
+//	GET    /v2/stats                          -> StatsResponse (jobs + cache)
+//	GET    /v2/kernels                        -> KernelsResponse
+//	DELETE /v2/cache                          -> CacheStats (zeroed)
 //
 // The same surface is served by thermflowgate, the consistent-hashing
 // shard gateway over a pool of thermflowd backends (see gateway.go for
 // its administrative endpoints); clients cannot tell the difference.
 //
-// The v1 endpoints are synchronous (the response is the result) and
-// are served as adapters over the same job layer that backs /v2; the
-// v2 types live in v2.go. Compile options travel as thermflow.Options,
-// whose JSON form names the enums ("policy": "chessboard", "solver":
-// "sparse", ...) and omits defaults; see Options.MarshalJSON in the
-// root package. Errors travel as ErrorResponse with the HTTP status
-// conveying the class: 400 malformed request, 401 missing/invalid
-// bearer token, 422 well-formed but unsatisfiable (unknown
-// policy/solver/layout/join/kernel, IR parse failure, or an allocation
-// that exceeded its spill work budget), 429 rate-limited (with
-// Retry-After), 500 internal fault, 503 job registry at capacity,
-// 504 job deadline expired (body carries the JobStatus).
+// The job types live in v2.go. Compile options travel as
+// thermflow.Options, whose JSON form names the enums ("policy":
+// "chessboard", "solver": "sparse", ...) and omits defaults; see
+// Options.MarshalJSON in the root package. Errors travel as
+// ErrorResponse with the HTTP status conveying the class: 400 malformed
+// request, 401 missing/invalid bearer token, 404 unknown route or job,
+// 422 well-formed but unsatisfiable (unknown
+// policy/solver/layout/join/kernel, IR parse failure), 429 tenant over
+// its quota (with Retry-After), 500 internal fault, 503 job registry at
+// capacity or shedding, 504 job deadline expired (body carries the
+// JobStatus). A job that runs and fails — an allocation that exceeded
+// its spill work budget, say — is state "failed" with the error in its
+// JobStatus, not an HTTP error.
 package api
 
 import (
@@ -38,22 +37,6 @@ import (
 
 	"thermflow"
 )
-
-// CompileRequest names a program and the options to compile it under.
-// Exactly one of Kernel or Program must be set.
-type CompileRequest struct {
-	// Kernel selects a built-in benchmark kernel by name (see
-	// GET /v1/kernels).
-	Kernel string `json:"kernel,omitempty"`
-	// Program is a program in the textual IR syntax.
-	Program string `json:"program,omitempty"`
-	// Root, for a multi-function Program, names the function to inline
-	// into the analyzable single procedure. Empty means Program is a
-	// single function.
-	Root string `json:"root,omitempty"`
-	// Options are the compile options; absent fields select defaults.
-	Options thermflow.Options `json:"options"`
-}
 
 // CompileResponse is the wire form of one compilation result.
 type CompileResponse struct {
@@ -115,24 +98,6 @@ type AllocSummary struct {
 	Occupancy float64 `json:"occupancy"`
 }
 
-// BatchRequest submits many compile jobs at once. The response is a
-// stream of newline-delimited JSON BatchItem values, one per job, in
-// completion order — duplicates of an already-running job complete
-// (cached) as soon as their representative does.
-type BatchRequest struct {
-	Jobs []CompileRequest `json:"jobs"`
-}
-
-// BatchItem is one job's outcome within a batch stream.
-type BatchItem struct {
-	// Index is the job's position in BatchRequest.Jobs.
-	Index int `json:"index"`
-	// Error is the job's isolated failure, empty on success.
-	Error string `json:"error,omitempty"`
-	// Result is the compilation result, nil on failure.
-	Result *CompileResponse `json:"result,omitempty"`
-}
-
 // KernelsResponse lists the built-in benchmark kernels.
 type KernelsResponse struct {
 	Kernels []KernelInfo `json:"kernels"`
@@ -164,7 +129,8 @@ type TierStats struct {
 }
 
 // CacheStats is the wire form of the server's result-store counters
-// (GET /v1/cache; DELETE /v1/cache returns the zeroed form).
+// (the cache block of GET /v2/stats; DELETE /v2/cache returns the
+// zeroed form).
 type CacheStats struct {
 	// Hits counts jobs served from the store (either tier, or an
 	// identical job already in flight), Misses jobs compiled, Panics

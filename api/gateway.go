@@ -3,7 +3,7 @@
 // view of thermflowgate, the consistent-hashing gateway that fronts a
 // pool of thermflowd backends.
 //
-// Gateway endpoints (cmd/thermflowgate), on top of the proxied v1/v2
+// Gateway endpoints (cmd/thermflowgate), on top of the proxied /v2
 // surface:
 //
 //	GET  /gateway/backends                    -> GatewayBackendsResponse
@@ -72,13 +72,13 @@ type GatewayBackend struct {
 	// LastProbeMS is the last health probe's time as Unix milliseconds
 	// (0 before the first probe).
 	LastProbeMS int64 `json:"last_probe_ms,omitempty"`
-	// PendingCacheReset reports that a pool-wide DELETE /v1/cache could
+	// PendingCacheReset reports that a pool-wide DELETE /v2/cache could
 	// not reach this backend; the gateway re-issues the reset when the
 	// backend answers again.
 	PendingCacheReset bool `json:"pending_cache_reset,omitempty"`
 }
 
-// CacheResetResponse is the gateway's answer to DELETE /v1/cache: the
+// CacheResetResponse is the gateway's answer to DELETE /v2/cache: the
 // zeroed pool-wide stats plus the members the reset did not reach.
 type CacheResetResponse struct {
 	CacheStats

@@ -1,11 +1,8 @@
-// v2 wire types: the job-oriented API. Where v1 is synchronous — the
-// response is the result — v2 is addressable: submitting returns a job
-// handle whose ID is the SHA-256 of the request's canonical content
-// (thermflow.JobSpec), the same key the result store and disk tier use.
-// Clients poll or long-poll the handle, and duplicate submissions of
-// the same content converge on one job.
-//
-// Endpoints:
+// Job wire types. Submitting returns a job handle whose ID is the
+// SHA-256 of the request's canonical content (thermflow.JobSpec), the
+// same key the result store and disk tier use. Clients poll or
+// long-poll the handle, and duplicate submissions of the same content
+// converge on one job.
 //
 //	POST /v2/jobs           JobRequest  -> JobStatus (202 created, 200 existing)
 //	GET  /v2/jobs/{id}                  -> JobStatus (404 unknown, 504 expired)
@@ -93,7 +90,7 @@ type JobsBatchRequest struct {
 	Jobs []JobRequest `json:"jobs"`
 }
 
-// JobItem is one job's outcome within a v2 batch stream, keyed both by
+// JobItem is one job's outcome within a batch stream, keyed both by
 // position and by job ID (duplicates of one job share an ID).
 type JobItem struct {
 	// Index is the job's position in JobsBatchRequest.Jobs.

@@ -1,20 +1,14 @@
 // Package client is the Go client for a running thermflowd server
-// (cmd/thermflowd): synchronous v1 compiles, the v2 asynchronous job
-// lifecycle (submit, poll, long-poll wait, ID-keyed batch streams),
-// kernel listing and cache control, speaking the wire types of
-// thermflow/api.
+// (cmd/thermflowd) or thermflowgate pool: the asynchronous job
+// lifecycle (submit, poll, long-poll wait), ID-keyed batch streams,
+// status and cache counters, kernel listing and cache reset, speaking
+// the wire types of thermflow/api.
 //
-// Typical synchronous use:
+// Typical use:
 //
-//	cl := client.New("http://localhost:8080", nil)
-//	resp, err := cl.Compile(ctx, api.CompileRequest{Kernel: "matmul"})
-//	fmt.Println(resp.PeakTemp, resp.Cached)
-//
-// Typical job-oriented use:
-//
-//	cl := client.New(base, nil, client.WithToken(token))
-//	st, err := cl.SubmitJob(ctx, api.JobRequest{Kernel: "matmul"})
-//	st, err = cl.WaitJob(ctx, st.ID, 30*time.Second) // until terminal
+//	cl := client.New("http://localhost:8080", nil, client.WithToken(token))
+//	st, err := cl.RunJob(ctx, api.JobRequest{Kernel: "matmul"}) // until terminal
+//	fmt.Println(st.State, st.Result.PeakTemp, st.Cached)
 //
 // Requests that fail with 429 or a retryable 5xx are retried with
 // exponential backoff, honouring the server's Retry-After header and
@@ -110,7 +104,7 @@ type APIError struct {
 	StatusCode int
 	Message    string
 	// RetryAfter is the server's Retry-After hint (zero when absent) —
-	// set on 429 rate-limit and 503 busy responses.
+	// set on 429 quota and 503 busy responses.
 	RetryAfter time.Duration
 }
 
@@ -119,7 +113,7 @@ func (e *APIError) Error() string {
 }
 
 // Temporary reports whether retrying the identical request may
-// succeed: rate limiting, registry pressure, or a transient upstream
+// succeed: a tenant quota, registry pressure, or a transient upstream
 // fault.
 func (e *APIError) Temporary() bool {
 	switch e.StatusCode {
@@ -262,39 +256,6 @@ func apiErrorFrom(resp *http.Response) *APIError {
 		}
 	}
 	return apiErr
-}
-
-// Compile runs one job on the server (POST /v1/compile).
-func (c *Client) Compile(ctx context.Context, req api.CompileRequest) (*api.CompileResponse, error) {
-	var out api.CompileResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/compile", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// CompileBatch submits jobs in one request (POST /v1/batch) and calls
-// onItem for every result as the server streams it back, in completion
-// order (BatchItem.Index maps each back to its job). It returns after
-// the stream ends; cancelling ctx aborts the stream and cancels the
-// server-side jobs not yet started. Retries apply only up to the first
-// streamed byte — a broken stream is the caller's to resume.
-func (c *Client) CompileBatch(ctx context.Context, jobs []api.CompileRequest, onItem func(api.BatchItem)) error {
-	resp, err := c.send(ctx, http.MethodPost, "/v1/batch", api.BatchRequest{Jobs: jobs})
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return scanNDJSON(resp.Body, func(line []byte) error {
-		var item api.BatchItem
-		if err := json.Unmarshal(line, &item); err != nil {
-			return fmt.Errorf("client: malformed batch stream line: %w", err)
-		}
-		if onItem != nil {
-			onItem(item)
-		}
-		return nil
-	})
 }
 
 // SubmitJob registers a v2 job (POST /v2/jobs) and returns its handle
@@ -464,27 +425,21 @@ func scanNDJSON(r io.Reader, fn func([]byte) error) error {
 }
 
 // Kernels lists the server's built-in benchmark kernels
-// (GET /v1/kernels).
+// (GET /v2/kernels).
 func (c *Client) Kernels(ctx context.Context) ([]api.KernelInfo, error) {
 	var out api.KernelsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/kernels", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v2/kernels", nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Kernels, nil
 }
 
-// CacheStats reads the server's cache counters (GET /v1/cache).
-func (c *Client) CacheStats(ctx context.Context) (api.CacheStats, error) {
-	var out api.CacheStats
-	err := c.do(ctx, http.MethodGet, "/v1/cache", nil, &out)
-	return out, err
-}
-
 // ResetCache drops the server's result cache and zeroes its counters
-// (DELETE /v1/cache), returning the zeroed stats.
+// (DELETE /v2/cache), returning the zeroed stats. Through a gateway the
+// reset covers every configured backend; see api.CacheResetResponse.
 func (c *Client) ResetCache(ctx context.Context) (api.CacheStats, error) {
 	var out api.CacheStats
-	err := c.do(ctx, http.MethodDelete, "/v1/cache", nil, &out)
+	err := c.do(ctx, http.MethodDelete, "/v2/cache", nil, &out)
 	return out, err
 }
 

@@ -29,7 +29,7 @@ func flakyHandler(statuses []int, retryAfter string, calls *atomic.Int64) http.H
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(api.CacheStats{Workers: 7})
+		_ = json.NewEncoder(w).Encode(api.StatsResponse{Cache: api.CacheStats{Workers: 7}})
 	})
 }
 
@@ -40,11 +40,11 @@ func TestRetriesTemporaryFailures(t *testing.T) {
 	defer ts.Close()
 
 	cl := New(ts.URL, nil, WithRetries(3), WithBackoff(time.Millisecond))
-	st, err := cl.CacheStats(context.Background())
+	st, err := cl.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Workers != 7 {
+	if st.Cache.Workers != 7 {
 		t.Errorf("stats = %+v", st)
 	}
 	if got := calls.Load(); got != 3 {
@@ -59,7 +59,7 @@ func TestNoRetryOnPermanentFailure(t *testing.T) {
 	defer ts.Close()
 
 	cl := New(ts.URL, nil, WithRetries(3), WithBackoff(time.Millisecond))
-	_, err := cl.CacheStats(context.Background())
+	_, err := cl.Stats(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != 422 {
 		t.Fatalf("err = %v", err)
@@ -76,7 +76,7 @@ func TestRetriesExhausted(t *testing.T) {
 	defer ts.Close()
 
 	cl := New(ts.URL, nil, WithRetries(2), WithBackoff(time.Millisecond))
-	_, err := cl.CacheStats(context.Background())
+	_, err := cl.Stats(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != 429 {
 		t.Fatalf("err = %v", err)
@@ -96,7 +96,7 @@ func TestRetryAfterSurfacesAndCtxInterruptsBackoff(t *testing.T) {
 
 	// No retries: the APIError itself carries the server's hint.
 	cl := New(ts.URL, nil, WithRetries(1))
-	_, err := cl.CacheStats(context.Background())
+	_, err := cl.Stats(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("err = %v", err)
@@ -115,7 +115,7 @@ func TestRetryAfterSurfacesAndCtxInterruptsBackoff(t *testing.T) {
 	defer cancel()
 	cl = New(ts.URL, nil, WithRetries(3))
 	start := time.Now()
-	_, err = cl.CacheStats(ctx)
+	_, err = cl.Stats(ctx)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ctx deadline", err)
@@ -128,7 +128,7 @@ func TestRetryAfterSurfacesAndCtxInterruptsBackoff(t *testing.T) {
 // Transport-level failures (no server) retry and then surface.
 func TestTransportErrorRetries(t *testing.T) {
 	cl := New("http://127.0.0.1:1", nil, WithRetries(2), WithBackoff(time.Millisecond))
-	_, err := cl.CacheStats(context.Background())
+	_, err := cl.Stats(context.Background())
 	if err == nil {
 		t.Fatal("no error from unreachable server")
 	}
@@ -193,9 +193,9 @@ func TestTokenHeader(t *testing.T) {
 			sawAuth.Add(1)
 		}
 	}
-	mux.HandleFunc("GET /v1/cache", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v2/stats", func(w http.ResponseWriter, r *http.Request) {
 		check(r)
-		_ = json.NewEncoder(w).Encode(api.CacheStats{})
+		_ = json.NewEncoder(w).Encode(api.StatsResponse{})
 	})
 	mux.HandleFunc("GET /v2/jobs/x", func(w http.ResponseWriter, r *http.Request) {
 		check(r)
@@ -205,7 +205,7 @@ func TestTokenHeader(t *testing.T) {
 	defer ts.Close()
 
 	cl := New(ts.URL, nil, WithToken("sesame"))
-	if _, err := cl.CacheStats(context.Background()); err != nil {
+	if _, err := cl.Stats(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Job(context.Background(), "x"); err != nil {

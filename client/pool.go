@@ -61,15 +61,16 @@ func (p *Pool) FindJob(ctx context.Context, id string) (*api.JobStatus, int, err
 	return nil, -1, ErrJobNotFound
 }
 
-// CacheStats reads every backend's cache counters, by backend index.
+// CacheStats reads every backend's cache counters (the cache block of
+// GET /v2/stats), by backend index.
 func (p *Pool) CacheStats(ctx context.Context) ([]api.CacheStats, error) {
 	out := make([]api.CacheStats, len(p.clients))
 	for i, cl := range p.clients {
-		st, err := cl.CacheStats(ctx)
+		st, err := cl.Stats(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("backend %d: %w", i, err)
 		}
-		out[i] = st
+		out[i] = st.Cache
 	}
 	return out, nil
 }

@@ -7,8 +7,7 @@
 //
 //	thermflowd [-addr :8080] [-workers 0]
 //	           [-cache-dir DIR] [-cache-max-bytes N] [-cache-disk-max-bytes N]
-//	           [-auth-token-file FILE] [-rate-limit N] [-rate-burst N]
-//	           [-quota-file FILE] [-trust-tenant-header]
+//	           [-auth-token-file FILE] [-quota-file FILE] [-trust-tenant-header]
 //	           [-job-ttl 15m] [-job-max 4096] [-request-timeout 0]
 //	           [-job-max-queue 0] [-job-queue-watermark 0]
 //	           [-job-age-step 0] [-job-age-period 30s]
@@ -18,16 +17,14 @@
 // The result cache is a two-tier store: an in-memory LRU tier capped
 // at -cache-max-bytes, and (with -cache-dir) a persistent on-disk tier
 // capped at -cache-disk-max-bytes. The disk tier is content-addressed
-// by the same hash as the memory tier — and, since v2, the same hash
-// as the job IDs the /v2 endpoints hand out — so a restarted
-// thermflowd pointed at the same directory comes back warm.
+// by the same hash as the memory tier — and the same hash as the job
+// IDs the /v2 endpoints hand out — so a restarted thermflowd pointed at
+// the same directory comes back warm.
 //
 // Hardening flags compose the middleware stack: -auth-token-file
 // requires a bearer token from the file (one per line) on every
 // request, and SIGHUP re-reads the file so tokens rotate without a
-// restart; -rate-limit enforces a per-client token bucket (keyed by
-// token, else peer host) of N requests/second with -rate-burst
-// capacity; -request-timeout bounds each request's context. Requests
+// restart; -request-timeout bounds each request's context. Requests
 // always carry an X-Request-Id (generated when absent) and emit one
 // structured JSON access-log record carrying the request, trace and
 // span IDs (and, when resolved, the tenant and job ID).
@@ -47,8 +44,11 @@
 // Multi-tenancy: -quota-file maps bearer tokens to tenant quota
 // profiles (rate, burst, queue depth, run concurrency, priority
 // class; see internal/tenant) and is re-read on the same SIGHUP that
-// rotates tokens. A tenant over its own envelope is answered 429; the
-// shared pool saturating answers 503. -job-max-queue bounds the v2
+// rotates tokens. A global per-client rate limit is a quota file
+// holding only a default profile, {"default": {"rate": N, "burst": M}};
+// buckets key by bearer token behind -auth-token-file, else by peer
+// host. A tenant over its own envelope is answered 429; the shared
+// pool saturating answers 503. -job-max-queue bounds the v2
 // registry queue with a shed watermark (-job-queue-watermark,
 // 0 = 3/4 of the bound) above which low-class work is refused or
 // displaced; -job-age-step grants queued work effective priority as it
@@ -106,9 +106,7 @@ func main() {
 	cacheDiskBytes := flag.Int64("cache-disk-max-bytes", 0, "disk cache tier byte cap (0 = 1 GiB)")
 	errTTL := flag.Duration("cache-err-ttl", 0, "how long compile failures are served from cache before retry (0 = 30s)")
 	authTokenFile := flag.String("auth-token-file", "", "bearer-token file, one token per line (empty = no auth)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-client request rate limit in req/s (0 = unlimited)")
-	rateBurst := flag.Int("rate-burst", 0, "rate-limit burst size (0 = 2x rate)")
-	quotaFile := flag.String("quota-file", "", "tenant quota-profile file (JSON; empty = uniform quotas, SIGHUP reloads)")
+	quotaFile := flag.String("quota-file", "", "tenant quota-profile file (JSON; empty = no quotas, SIGHUP reloads)")
 	trustTenant := flag.Bool("trust-tenant-header", false, "honor the X-Thermflow-Tenant header stamped by a trusted gateway")
 	jobTTL := flag.Duration("job-ttl", 0, "how long finished v2 jobs stay pollable (0 = 15m)")
 	jobMax := flag.Int("job-max", 0, "max v2 jobs retained, live + finished (0 = 4096)")
@@ -171,7 +169,7 @@ func main() {
 
 	// The middleware chain, outermost first: identity, tracing, logging
 	// and metrics see everything (including rejections), auth runs
-	// before rate limiting so bucket keys are authenticated tenants, and
+	// before quotas so bucket keys are authenticated tenants, and
 	// the body and deadline caps guard the handlers. Tracing shares the
 	// server's recorder so request spans land in job timelines.
 	mw := []server.Middleware{
@@ -192,34 +190,24 @@ func main() {
 		reloaders = append(reloaders, tokens)
 		log.Printf("thermflowd: bearer-token auth enabled (%s, SIGHUP reloads)", *authTokenFile)
 	}
-	var quotas *tenant.Source
 	if *quotaFile != "" {
-		quotas, err = tenant.Open(*quotaFile)
+		quotas, err := tenant.Open(*quotaFile)
 		if err != nil {
 			log.Fatalf("thermflowd: %v", err)
 		}
 		reloaders = append(reloaders, quotas)
 		log.Printf("thermflowd: tenant quotas from %s (%d tenants, SIGHUP reloads)",
 			*quotaFile, len(quotas.Quotas().Names()))
-	}
-	if quotas != nil || *rateLimit > 0 {
 		// Token-keyed buckets only behind auth: every token the
 		// limiter then sees is validated. Without auth, buckets key by
 		// peer host — an unvalidated token would be a free bypass.
-		qc := server.QuotaConfig{
-			Rate: *rateLimit, Burst: *rateBurst,
+		mw = append(mw, server.WithQuotas(server.QuotaConfig{
+			Quotas:      quotas,
 			ByToken:     *authTokenFile != "",
 			TrustHeader: *trustTenant,
 			Metrics:     metrics,
 			Tokens:      tokens,
-		}
-		if quotas != nil {
-			qc.Quotas = quotas
-		}
-		mw = append(mw, server.WithQuotas(qc))
-		if *rateLimit > 0 {
-			log.Printf("thermflowd: rate limit %.3g req/s per client", *rateLimit)
-		}
+		}))
 	}
 	if len(reloaders) > 0 {
 		server.ReloadOnSIGHUP("thermflowd", reloaders...)

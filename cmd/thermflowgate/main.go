@@ -11,8 +11,7 @@
 //	thermflowgate -backends host1:8080,host2:8080 [-addr :8090]
 //	              [-vnodes 128] [-health-interval 2s] [-health-timeout 2s]
 //	              [-eject-after 2] [-replicas 1] [-state-dir DIR]
-//	              [-auth-token-file FILE] [-rate-limit N] [-rate-burst N]
-//	              [-quota-file FILE] [-request-timeout 0]
+//	              [-auth-token-file FILE] [-quota-file FILE] [-request-timeout 0]
 //	              [-debug-addr ""]
 //
 // Clients point at the gateway exactly as they would at one
@@ -21,7 +20,7 @@
 // (distribute it to the gateway and every backend). The hardening
 // flags compose the same middleware stack as thermflowd — request IDs,
 // tracing, access logs, optional edge auth (SIGHUP re-reads the token
-// file), per-client rate limiting, body and deadline caps.
+// file), tenant quotas, body and deadline caps.
 //
 // Tracing: the gateway propagates the sanitized X-Thermflow-Trace
 // context to every backend it proxies to, records region-coordination
@@ -36,7 +35,8 @@
 //
 // -quota-file enables per-tenant admission at the edge: bearer tokens
 // resolve to tenant quota profiles (rate, burst, priority class; see
-// internal/tenant), re-read on the same SIGHUP that rotates tokens,
+// internal/tenant; a default-only file is a global per-client rate
+// limit), re-read on the same SIGHUP that rotates tokens,
 // and every proxied request carries the resolved tenant name to the
 // backends in the X-Thermflow-Tenant header — start the backends with
 // -trust-tenant-header (and the same quota file) so their registries
@@ -86,9 +86,7 @@ func main() {
 	replicas := flag.Int("replicas", 0, "ring successors each terminal job status is replicated to (0 = 1, negative disables)")
 	stateDir := flag.String("state-dir", "", "directory for the durable gateway-state log; drains survive restarts (empty = volatile)")
 	authTokenFile := flag.String("auth-token-file", "", "bearer-token file for edge auth, one token per line (empty = no auth; tokens pass through to backends either way)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-client request rate limit in req/s (0 = unlimited)")
-	rateBurst := flag.Int("rate-burst", 0, "rate-limit burst size (0 = 2x rate)")
-	quotaFile := flag.String("quota-file", "", "tenant quota-profile file (JSON; empty = uniform quotas, SIGHUP reloads)")
+	quotaFile := flag.String("quota-file", "", "tenant quota-profile file (JSON; empty = no quotas, SIGHUP reloads)")
 	reqTimeout := flag.Duration("request-timeout", 0, "per-request deadline, streams included (0 = none)")
 	debugAddr := flag.String("debug-addr", "", "pprof+metrics debug listener; loopback only, never public (empty = off)")
 	flag.Parse()
@@ -131,7 +129,7 @@ func main() {
 	defer gw.Close()
 
 	// The same chain thermflowd wires, in the same order: identity,
-	// tracing and logging outermost, auth before rate limiting so bucket
+	// tracing and logging outermost, auth before quotas so bucket
 	// keys are authenticated tenants, then the body and deadline caps.
 	// Tracing shares the gateway's recorder so edge spans land in the
 	// same timelines as the coordination spans it stitches.
@@ -153,30 +151,20 @@ func main() {
 		reloaders = append(reloaders, tokens)
 		log.Printf("thermflowgate: bearer-token auth enabled (%s, SIGHUP reloads)", *authTokenFile)
 	}
-	var quotas *tenant.Source
 	if *quotaFile != "" {
-		quotas, err = tenant.Open(*quotaFile)
+		quotas, err := tenant.Open(*quotaFile)
 		if err != nil {
 			log.Fatalf("thermflowgate: %v", err)
 		}
 		reloaders = append(reloaders, quotas)
 		log.Printf("thermflowgate: tenant quotas from %s (%d tenants, SIGHUP reloads)",
 			*quotaFile, len(quotas.Quotas().Names()))
-	}
-	if quotas != nil || *rateLimit > 0 {
-		qc := server.QuotaConfig{
-			Rate: *rateLimit, Burst: *rateBurst,
+		mw = append(mw, server.WithQuotas(server.QuotaConfig{
+			Quotas:  quotas,
 			ByToken: *authTokenFile != "",
 			Metrics: metrics,
 			Tokens:  tokens,
-		}
-		if quotas != nil {
-			qc.Quotas = quotas
-		}
-		mw = append(mw, server.WithQuotas(qc))
-		if *rateLimit > 0 {
-			log.Printf("thermflowgate: rate limit %.3g req/s per client", *rateLimit)
-		}
+		}))
 	}
 	if len(reloaders) > 0 {
 		server.ReloadOnSIGHUP("thermflowgate", reloaders...)

@@ -5,25 +5,26 @@
 // self-throttles and hides queueing) — and reports per-stage achieved
 // throughput, latency percentiles and error attribution.
 //
-// Every request carries a fresh X-Thermflow-Trace header, so each
-// arrival starts its own trace through the serving plane. Per stage the
-// report (and the log) lists the trace IDs of the slowest completed
-// requests — with -api v2 each entry also carries the job ID, so a slow
-// outlier resolves straight to its lifecycle timeline via
-// GET /v2/jobs/{id}/trace.
+// Every arrival is a POST /v2/jobs followed by a wait long-poll;
+// latency covers submit through terminal state (a job shed from the
+// queue counts as 503). Every request carries a fresh X-Thermflow-Trace
+// header, so each arrival starts its own trace through the serving
+// plane. Per stage the report (and the log) lists the trace and job IDs
+// of the slowest completed arrivals, so a slow outlier resolves
+// straight to its lifecycle timeline via GET /v2/jobs/{id}/trace.
 //
 // Usage:
 //
 //	thermload -target http://localhost:8090 [-stages 25,50,100]
 //	          [-stage-duration 5s] [-kernels dot,saxpy,fir]
 //	          [-timeout 30s] [-auth-token TOK] [-out BENCH_LOAD.json]
-//	          [-api v1|v2] [-tenants name:token[:prio[:weight]],...]
+//	          [-tenants name:token[:prio[:weight]],...]
 //	          [-unique] [-check] [-baseline FILE]
 //	          [-require-clean NAMES] [-require-shed NAMES]
 //	          [-max-clean-p99-ms N]
 //
 // Each stage offers its rate (requests/second) for -stage-duration,
-// cycling POST /v1/compile bodies over the kernel × policy matrix so
+// cycling job bodies over the kernel × policy matrix so
 // traffic exercises both cold compiles and cache hits, exactly like
 // the 99-job experiment sweep. When every stage is done the tool
 // writes one JSON document (to -out, "-" for stdout) with, per stage:
@@ -32,16 +33,13 @@
 // (at capacity or shed), other 4xx, 5xx, and transport failures.
 //
 // Multi-tenant mode: -tenants drives several tenants through one open
-// loop, each with its own bearer token, v2 job priority and relative
+// loop, each with its own bearer token, job priority and relative
 // arrival weight ("high:tok-h:10:3,low:tok-l:0:1" offers 3/4 of
 // arrivals as high). The report then carries a per-tenant block per
 // stage — sent, completed, p50/p99 and error attribution — which is
 // what lets a CI gate assert that shedding lands on the right tenant.
-// -api v2 switches the workload to POST /v2/jobs followed by a wait
-// long-poll (latency covers submit through terminal state; a job shed
-// from the queue counts as 503). -unique salts every request body so
-// no two arrivals share a job ID — genuine queue pressure rather than
-// cache hits.
+// -unique salts every request body so no two arrivals share a job ID —
+// genuine queue pressure rather than cache hits.
 //
 // -check turns the run into a smoke gate: exit non-zero unless every
 // stage completed requests, measured a positive p99, and saw zero 5xx
@@ -84,7 +82,7 @@ import (
 type spec struct {
 	Kernel  string         `json:"kernel"`
 	Options map[string]any `json:"options,omitempty"`
-	// Priority is the v2 scheduling hint (omitted for v1 bodies).
+	// Priority is the job's scheduling hint.
 	Priority int `json:"priority,omitempty"`
 }
 
@@ -109,9 +107,8 @@ type stageResult struct {
 	Slowest []slowRequest `json:"slowest,omitempty"`
 }
 
-// slowRequest identifies one slow-outlier arrival. JobID is set on v2
-// runs, where the slow request resolves directly to a job timeline at
-// GET /v2/jobs/{job_id}/trace.
+// slowRequest identifies one slow-outlier arrival; its job resolves
+// directly to a timeline at GET /v2/jobs/{job_id}/trace.
 type slowRequest struct {
 	TraceID   string  `json:"trace_id"`
 	JobID     string  `json:"job_id,omitempty"`
@@ -145,7 +142,6 @@ type errs struct {
 
 type report struct {
 	Target        string        `json:"target"`
-	API           string        `json:"api"`
 	GOMAXPROCS    int           `json:"gomaxprocs"`
 	NumCPU        int           `json:"num_cpu"`
 	StageDuration float64       `json:"stage_duration_s"`
@@ -154,7 +150,7 @@ type report struct {
 	Stages        []stageResult `json:"stages"`
 }
 
-// tenantSpec is one -tenants entry: a name, its bearer token, the v2
+// tenantSpec is one -tenants entry: a name, its bearer token, the
 // priority its submits carry, and its relative share of arrivals.
 type tenantSpec struct {
 	name   string
@@ -167,7 +163,6 @@ type tenantSpec struct {
 type loadConfig struct {
 	client  *http.Client
 	target  string
-	api     string
 	unique  bool
 	specs   []spec
 	tenants []tenantSpec
@@ -181,9 +176,8 @@ func main() {
 	stages := flag.String("stages", "25,50,100", "comma-separated offered arrival rates in req/s, one stage each")
 	stageDur := flag.Duration("stage-duration", 5*time.Second, "how long each stage offers its rate")
 	kernels := flag.String("kernels", "dot,saxpy,fir,matmul", "comma-separated kernels to cycle through")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout (v2: submit through terminal state)")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-arrival timeout, submit through terminal state")
 	authToken := flag.String("auth-token", "", "bearer token sent with every request (empty = none; ignored with -tenants)")
-	apiFlag := flag.String("api", "v1", "workload shape: v1 (POST /v1/compile) or v2 (POST /v2/jobs + wait)")
 	tenantsFlag := flag.String("tenants", "", "comma-separated name:token[:priority[:weight]] tenants to interleave (empty = single anonymous client)")
 	unique := flag.Bool("unique", false, "salt every request body so no two arrivals share a job ID")
 	out := flag.String("out", "BENCH_LOAD.json", "output path for the JSON report (\"-\" = stdout)")
@@ -196,9 +190,6 @@ func main() {
 
 	if *target == "" {
 		log.Fatal("thermload: -target is required")
-	}
-	if *apiFlag != "v1" && *apiFlag != "v2" {
-		log.Fatalf("thermload: -api must be v1 or v2, got %q", *apiFlag)
 	}
 	rates, err := parseRates(*stages)
 	if err != nil {
@@ -219,7 +210,6 @@ func main() {
 	cfg := loadConfig{
 		client:  &http.Client{Timeout: *timeout},
 		target:  strings.TrimRight(*target, "/"),
-		api:     *apiFlag,
 		unique:  *unique,
 		specs:   buildMatrix(names),
 		tenants: tenants,
@@ -229,7 +219,6 @@ func main() {
 	}
 	rep := report{
 		Target:        cfg.target,
-		API:           cfg.api,
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		NumCPU:        runtime.NumCPU(),
 		StageDuration: stageDur.Seconds(),
@@ -242,17 +231,14 @@ func main() {
 	}
 
 	for _, rate := range rates {
-		log.Printf("thermload: stage %.4g req/s for %s against %s (%s)", rate, *stageDur, cfg.target, cfg.api)
+		log.Printf("thermload: stage %.4g req/s for %s against %s", rate, *stageDur, cfg.target)
 		res := runStage(cfg, rate, *stageDur)
 		log.Printf("thermload: stage %.4g req/s: sent=%d completed=%d achieved=%.4g req/s p50=%.3gms p95=%.3gms p99=%.3gms err={429:%d 503:%d 4xx:%d 5xx:%d transport:%d}",
 			rate, res.Sent, res.Completed, res.AchievedRPS, res.P50Ms, res.P95Ms, res.P99Ms,
 			res.Errors.RateLimited, res.Errors.Capacity, res.Errors.Client4xx,
 			res.Errors.Server5xx, res.Errors.Transport)
 		for _, sl := range res.Slowest {
-			extra := ""
-			if sl.JobID != "" {
-				extra = " job=" + sl.JobID
-			}
+			extra := " job=" + sl.JobID
 			if sl.Tenant != "" {
 				extra += " tenant=" + sl.Tenant
 			}
@@ -411,11 +397,7 @@ func (cfg loadConfig) body(i int, tn tenantSpec) []byte {
 	if cfg.unique {
 		opts["Delta"] = 0.05 + float64(cfg.salt.Add(1))*1e-9
 	}
-	out := spec{Kernel: sp.Kernel, Options: opts}
-	if cfg.api == "v2" {
-		out.Priority = tn.prio
-	}
-	b, err := json.Marshal(out)
+	b, err := json.Marshal(spec{Kernel: sp.Kernel, Options: opts, Priority: tn.prio})
 	if err != nil {
 		log.Fatalf("thermload: encoding spec: %v", err)
 	}
@@ -426,10 +408,10 @@ func (cfg loadConfig) body(i int, tn tenantSpec) []byte {
 type outcome struct {
 	tenant  string
 	traceID string // the trace the request was offered under
-	jobID   string // v2 only: the job the submit resolved to
+	jobID   string // the job the submit resolved to ("" if it never did)
 	latency time.Duration
 	status  int  // 0 on transport failure
-	ok      bool // 2xx with (v2) a done terminal state
+	ok      bool // 2xx submit that reached state done
 }
 
 // runStage offers rate req/s for dur: the arrival ticker fires on
@@ -466,12 +448,7 @@ launch:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var o outcome
-				if cfg.api == "v2" {
-					o = cfg.oneV2Request(tn, body)
-				} else {
-					o = cfg.oneV1Request(tn, body)
-				}
+				o := cfg.oneRequest(tn, body)
 				mu.Lock()
 				outcomes = append(outcomes, o)
 				mu.Unlock()
@@ -546,7 +523,7 @@ launch:
 		tr.MaxMs = round3(tl[len(tl)-1])
 	}
 	// The slow-outlier list: worst completed arrivals first, each with
-	// the trace (and, on v2, job) ID that resolves it server-side.
+	// the trace and job IDs that resolve it server-side.
 	slow := make([]outcome, 0, res.Completed)
 	for _, o := range outcomes {
 		if o.ok && o.traceID != "" {
@@ -593,35 +570,7 @@ func addErrs(a, b errs) errs {
 	return a
 }
 
-// oneV1Request issues one POST /v1/compile and classifies it.
-func (cfg loadConfig) oneV1Request(tn tenantSpec, body []byte) outcome {
-	sc := trace.New()
-	req, err := http.NewRequest(http.MethodPost, cfg.target+"/v1/compile", bytes.NewReader(body))
-	if err != nil {
-		return outcome{tenant: tn.name, traceID: sc.TraceID}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(server.TraceHeader, sc.Header())
-	if tn.token != "" {
-		req.Header.Set("Authorization", "Bearer "+tn.token)
-	}
-	start := time.Now()
-	resp, err := cfg.client.Do(req)
-	if err != nil {
-		return outcome{tenant: tn.name, traceID: sc.TraceID, latency: time.Since(start)}
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	return outcome{
-		tenant:  tn.name,
-		traceID: sc.TraceID,
-		latency: time.Since(start),
-		status:  resp.StatusCode,
-		ok:      resp.StatusCode/100 == 2,
-	}
-}
-
-// oneV2Request submits one job and long-polls it to a terminal state;
+// oneRequest submits one job and long-polls it to a terminal state;
 // latency covers submit through terminal. Classification attributes
 // the serving plane's verdicts: a 429 submit is the tenant's own quota,
 // a 503 submit is pool admission, and a job that terminally failed
@@ -629,7 +578,7 @@ func (cfg loadConfig) oneV1Request(tn tenantSpec, body []byte) outcome {
 // after admission, but it is the same "pool was saturated" signal. A
 // job still live when the timeout expires counts as 503 too: the pool
 // did not serve it in time.
-func (cfg loadConfig) oneV2Request(tn tenantSpec, body []byte) outcome {
+func (cfg loadConfig) oneRequest(tn tenantSpec, body []byte) outcome {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 	defer cancel()
 	sc := trace.New()

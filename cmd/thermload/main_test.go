@@ -171,7 +171,6 @@ func TestDiffBaseline(t *testing.T) {
 
 func TestBodySaltsUniqueRequests(t *testing.T) {
 	cfg := loadConfig{
-		api:     "v2",
 		unique:  true,
 		specs:   buildMatrix([]string{"dot"}),
 		tenants: []tenantSpec{{name: "a", prio: 7, weight: 1}},
@@ -183,11 +182,11 @@ func TestBodySaltsUniqueRequests(t *testing.T) {
 		t.Fatalf("unique bodies identical: %s", b1)
 	}
 	if !strings.Contains(string(b1), `"priority":7`) {
-		t.Errorf("v2 body missing priority: %s", b1)
+		t.Errorf("body missing priority: %s", b1)
 	}
-	cfg.api, cfg.unique = "v1", false
-	b3 := cfg.body(0, cfg.tenants[0])
+	cfg.unique = false
+	b3 := cfg.body(0, tenantSpec{name: "b", weight: 1})
 	if strings.Contains(string(b3), "priority") || strings.Contains(string(b3), "Delta") {
-		t.Errorf("v1 non-unique body carries extras: %s", b3)
+		t.Errorf("non-unique zero-priority body carries extras: %s", b3)
 	}
 }

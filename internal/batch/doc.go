@@ -19,5 +19,5 @@
 // Cache correctness notes: an entry whose computation failed under a
 // cancelled context is dropped rather than poisoning the key for
 // other callers, and ResetCache zeroes both the cache and the Stats
-// counters (thermflowd exposes that as DELETE /v1/cache).
+// counters (thermflowd exposes that as DELETE /v2/cache).
 package batch

@@ -65,21 +65,21 @@ func Remote(cfg Config, addr string) (*RemoteResult, error) {
 		policies = []thermflow.Policy{thermflow.FirstFree, thermflow.Chessboard}
 	}
 
-	var jobs []api.CompileRequest
+	var jobs []api.JobRequest
 	for _, k := range kernels {
 		for _, pol := range policies {
-			jobs = append(jobs, api.CompileRequest{
+			jobs = append(jobs, api.JobRequest{
 				Kernel:  k.Name,
 				Options: thermflow.Options{Policy: pol},
 			})
 		}
-		jobs = append(jobs, api.CompileRequest{
+		jobs = append(jobs, api.JobRequest{
 			Kernel:  k.Name,
 			Options: thermflow.Options{Solver: thermflow.SolverSparse},
 		})
 		if !cfg.Quick {
 			for _, regs := range []int{16, 32} {
-				jobs = append(jobs, api.CompileRequest{
+				jobs = append(jobs, api.JobRequest{
 					Kernel:  k.Name,
 					Options: thermflow.Options{NumRegs: regs, GridW: 8, GridH: 8},
 				})
@@ -92,9 +92,9 @@ func Remote(cfg Config, addr string) (*RemoteResult, error) {
 		"kernel", "policy", "solver", "regs", "conv", "peak K", "cached")
 
 	res := &RemoteResult{Jobs: len(jobs)}
-	items := make([]api.BatchItem, 0, len(jobs))
+	items := make([]api.JobItem, 0, len(jobs))
 	start := time.Now()
-	err = cl.CompileBatch(ctx, jobs, func(item api.BatchItem) {
+	err = cl.CompileBatchJobs(ctx, jobs, func(item api.JobItem) {
 		items = append(items, item)
 	})
 	res.Wall = time.Since(start)
@@ -119,12 +119,12 @@ func Remote(cfg Config, addr string) (*RemoteResult, error) {
 			req.Kernel, r.Policy, r.Solver, r.NumRegs, r.Converged, r.PeakTemp, r.Cached)
 	}
 
-	stats, err := cl.CacheStats(ctx)
+	stats, err := cl.Stats(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("remote: cache stats: %w", err)
 	}
-	res.ServerHits, res.ServerMisses = stats.Hits, stats.Misses
-	res.DiskHits = stats.Disk.Hits
+	res.ServerHits, res.ServerMisses = stats.Cache.Hits, stats.Cache.Misses
+	res.DiskHits = stats.Cache.Disk.Hits
 	cfg.printf("\nremote sweep: jobs=%d errors=%d cached=%d wall_ms=%d server hits=%d misses=%d disk_hits=%d\n",
 		res.Jobs, res.Errors, res.Cached, res.Wall.Milliseconds(),
 		res.ServerHits, res.ServerMisses, res.DiskHits)

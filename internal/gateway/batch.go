@@ -87,8 +87,8 @@ func (nw *ndjsonWriter) write(v any) {
 	}
 }
 
-// handleBatchV2 is POST /v2/batch through the pool.
-func (g *Gateway) handleBatchV2(w http.ResponseWriter, r *http.Request) {
+// handleBatch is POST /v2/batch through the pool.
+func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -103,32 +103,6 @@ func (g *Gateway) handleBatchV2(w http.ResponseWriter, r *http.Request) {
 	}
 	nw := newNDJSONWriter(w)
 	g.fanBatch(r, items, func(item api.JobItem) { nw.write(item) })
-}
-
-// handleBatchV1 is POST /v1/batch: v1 jobs are a subset of v2 jobs, so
-// the same fan-out runs against the backends' /v2/batch and the merged
-// items are translated back to the index-keyed v1 shape.
-func (g *Gateway) handleBatchV1(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req api.BatchRequest
-	if !decodeBody(w, body, &req) {
-		return
-	}
-	jreqs := make([]api.JobRequest, len(req.Jobs))
-	for i, jr := range req.Jobs {
-		jreqs[i] = api.JobRequest{Kernel: jr.Kernel, Program: jr.Program, Root: jr.Root, Options: jr.Options}
-	}
-	items, ok := resolveBatchItems(w, jreqs)
-	if !ok {
-		return
-	}
-	nw := newNDJSONWriter(w)
-	g.fanBatch(r, items, func(item api.JobItem) {
-		nw.write(api.BatchItem{Index: item.Index, Error: item.Error, Result: item.Result})
-	})
 }
 
 // fanState tracks one fanned-out batch: which client indices have been

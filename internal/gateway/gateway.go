@@ -1,10 +1,9 @@
 // Package gateway implements thermflowgate: a sharding front server
 // over a pool of thermflowd backends. It speaks the same HTTP surface
-// as one backend — the full v2 job API plus the v1 endpoints — and
-// routes every job to the pool member that owns its ID on a
-// consistent-hash ring (ring.go), so the v2 content hash that already
-// names the job, its cache slot and its disk entry now also names its
-// shard.
+// as one backend — the full /v2 API — and routes every job to the pool
+// member that owns its ID on a consistent-hash ring (ring.go), so the
+// content hash that already names the job, its cache slot and its disk
+// entry also names its shard.
 //
 // Scaling properties:
 //
@@ -27,7 +26,7 @@
 // The gateway holds no job state of its own: it canonicalizes requests
 // just far enough to learn their identity (server.ResolveSpec — the
 // same code path the backends use), then proxies bytes. Cross-cutting
-// hardening (auth, rate limiting, request IDs, access logs, body and
+// hardening (auth, tenant quotas, request IDs, access logs, body and
 // deadline caps) reuses the internal/server middleware stack, composed
 // by cmd/thermflowgate exactly as cmd/thermflowd composes it.
 package gateway
@@ -238,13 +237,10 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("GET /v2/jobs/{id}", g.handleJobGet)
 	g.mux.HandleFunc("GET /v2/jobs/{id}/wait", g.handleJobGet)
 	g.mux.HandleFunc("GET /v2/jobs/{id}/trace", g.handleJobTrace)
-	g.mux.HandleFunc("POST /v2/batch", g.handleBatchV2)
+	g.mux.HandleFunc("POST /v2/batch", g.handleBatch)
 	g.mux.HandleFunc("GET /v2/stats", g.handleStats)
-	g.mux.HandleFunc("POST /v1/compile", g.handleCompileV1)
-	g.mux.HandleFunc("POST /v1/batch", g.handleBatchV1)
-	g.mux.HandleFunc("GET /v1/kernels", g.handleKernels)
-	g.mux.HandleFunc("GET /v1/cache", g.handleCacheGet)
-	g.mux.HandleFunc("DELETE /v1/cache", g.handleCacheReset)
+	g.mux.HandleFunc("GET /v2/kernels", g.handleKernels)
+	g.mux.HandleFunc("DELETE /v2/cache", g.handleCacheReset)
 	g.mux.HandleFunc("GET /gateway/backends", g.handleBackends)
 	g.mux.HandleFunc("POST /gateway/drain", g.handleDrain(true))
 	g.mux.HandleFunc("POST /gateway/undrain", g.handleDrain(false))
@@ -462,8 +458,8 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 // forward tries key's owner, then its failover successors, relaying
 // the first backend that answers at all — an HTTP error is the
 // backend's answer and travels as-is; only transport failures move to
-// the next candidate. Use for idempotent work (submits, compiles,
-// pool-wide reads): re-dispatching to the ring's next member is where
+// the next candidate. Use for idempotent work (submits, the kernel
+// listing): re-dispatching to the ring's next member is where
 // the key remaps once the dead owner is ejected, so retried and
 // future requests converge on the same backend.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key, method, pathAndQuery string, body []byte) {
@@ -691,31 +687,11 @@ func (b *bufferedResponse) Write(p []byte) (int, error) {
 	return b.body.Write(p)
 }
 
-// handleCompileV1 is POST /v1/compile: the synchronous v1 face of a
-// submit — same canonicalization, same idempotent routing.
-func (g *Gateway) handleCompileV1(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req api.CompileRequest
-	if !decodeBody(w, body, &req) {
-		return
-	}
-	id, ok := resolveID(w, api.JobRequest{
-		Kernel: req.Kernel, Program: req.Program, Root: req.Root, Options: req.Options,
-	})
-	if !ok {
-		return
-	}
-	g.forward(w, r, id, http.MethodPost, "/v1/compile", body)
-}
-
-// handleKernels is GET /v1/kernels: identical on every backend, so any
+// handleKernels is GET /v2/kernels: identical on every backend, so any
 // reachable one may answer. A fixed pseudo-key keeps the choice stable
 // (and its failover order meaningful) without a round-robin counter.
 func (g *Gateway) handleKernels(w http.ResponseWriter, r *http.Request) {
-	g.forward(w, r, "gateway:kernels", http.MethodGet, "/v1/kernels", nil)
+	g.forward(w, r, "gateway:kernels", http.MethodGet, "/v2/kernels", nil)
 }
 
 // healthyBackends snapshots the backends worth aggregating over:
@@ -789,13 +765,7 @@ func (g *Gateway) fanAggregate(r *http.Request, method, path string, each func()
 	return answered, firstErr
 }
 
-// handleCacheGet is GET /v1/cache: the pool-wide cache view — per-tier
-// counters summed across every healthy backend.
-func (g *Gateway) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	g.aggregateCache(w, r, http.MethodGet)
-}
-
-// handleCacheReset is DELETE /v1/cache fanned out to EVERY configured
+// handleCacheReset is DELETE /v2/cache fanned out to EVERY configured
 // backend — ejected and draining members included. The caller asked
 // for durable state to go away pool-wide, and an ejected backend is
 // exactly the one that would otherwise rejoin later with its disk
@@ -819,7 +789,7 @@ func (g *Gateway) handleCacheReset(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := g.send(r, name, http.MethodDelete, "/v1/cache", nil)
+			resp, err := g.send(r, name, http.MethodDelete, "/v2/cache", nil)
 			if err != nil {
 				if r.Context().Err() == nil {
 					g.observeFailure(name, err)
@@ -876,23 +846,9 @@ func (g *Gateway) markPendingCacheReset(name, auth string) {
 	}
 }
 
-func (g *Gateway) aggregateCache(w http.ResponseWriter, r *http.Request, method string) {
-	var agg api.CacheStats
-	n, err := g.fanAggregate(r, method, "/v1/cache",
-		func() any { return &api.CacheStats{} },
-		func(v any) { addCacheStats(&agg, v.(*api.CacheStats)) })
-	if n == 0 {
-		server.WriteErr(w, http.StatusBadGateway, "gateway: no backend answered: %v", err)
-		return
-	}
-	if err != nil {
-		server.WriteErr(w, http.StatusBadGateway, "gateway: partial pool answer: %v", err)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, agg)
-}
-
-// handleStats is GET /v2/stats: the pool-wide job and cache totals.
+// handleStats is GET /v2/stats: the pool-wide job and cache totals —
+// every counter summed, admission bounds and sheds included, so a
+// shedding pool reports it through the gateway as well as per backend.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	var agg api.StatsResponse
 	n, err := g.fanAggregate(r, http.MethodGet, "/v2/stats",
@@ -904,6 +860,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			agg.Jobs.Terminal += sr.Jobs.Terminal
 			agg.Jobs.Capacity += sr.Jobs.Capacity
 			agg.Jobs.Concurrency += sr.Jobs.Concurrency
+			agg.Jobs.MaxQueue += sr.Jobs.MaxQueue
+			agg.Jobs.Watermark += sr.Jobs.Watermark
+			agg.Jobs.Shed += sr.Jobs.Shed
 			addCacheStats(&agg.Cache, &sr.Cache)
 		})
 	if n == 0 {
@@ -911,8 +870,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		// Partial totals would read as the pool shrinking; like the
-		// cache aggregate, refuse rather than mislead.
+		// Partial totals would read as the pool shrinking; refuse
+		// rather than mislead.
 		server.WriteErr(w, http.StatusBadGateway, "gateway: partial pool answer: %v", err)
 		return
 	}

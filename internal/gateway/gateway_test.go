@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -17,6 +19,7 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
+	"thermflow/internal/jobs"
 	"thermflow/internal/server"
 	"thermflow/internal/tenant"
 )
@@ -168,35 +171,6 @@ func TestGatewayBatchFanoutMerge(t *testing.T) {
 	for i, st := range stats {
 		if st.Misses == 0 {
 			t.Errorf("backend %d compiled nothing — fan-out did not spread", i)
-		}
-	}
-}
-
-// The v1 batch surface rides the same fan-out.
-func TestGatewayBatchV1(t *testing.T) {
-	b1, _ := newBackend(t)
-	b2, _ := newBackend(t)
-	_, ts := newTestGateway(t, Config{}, b1.URL, b2.URL)
-	cl := client.New(ts.URL, nil)
-
-	jobs := []api.CompileRequest{
-		{Kernel: "dot", Options: thermflow.Options{SkipAnalysis: true}},
-		{Kernel: "fir", Options: thermflow.Options{SkipAnalysis: true}},
-		{Kernel: "dot", Options: thermflow.Options{SkipAnalysis: true}}, // duplicate
-	}
-	counts := make(map[int]int)
-	err := cl.CompileBatch(context.Background(), jobs, func(item api.BatchItem) {
-		counts[item.Index]++
-		if item.Error != "" {
-			t.Errorf("item %d failed: %s", item.Index, item.Error)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if counts[i] != 1 {
-			t.Fatalf("index %d answered %d times", i, counts[i])
 		}
 	}
 }
@@ -477,8 +451,8 @@ func TestGatewayHealthEjectAndReadmit(t *testing.T) {
 	waitFor("readmission", func() bool { return ringLen() == 2 })
 }
 
-// Pool-wide reads: /v1/kernels proxies, /v1/cache and /v2/stats
-// aggregate over every healthy member.
+// Pool-wide reads: /v2/kernels proxies, /v2/stats aggregates over every
+// healthy member, and DELETE /v2/cache resets them all.
 func TestGatewayAggregates(t *testing.T) {
 	b1, _ := newBackend(t)
 	b2, _ := newBackend(t)
@@ -496,10 +470,11 @@ func TestGatewayAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := cl.CacheStats(ctx)
+	stats, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg := stats.Cache
 	pool := client.NewPool([]string{b1.URL, b2.URL}, nil)
 	per, err := pool.CacheStats(ctx)
 	if err != nil {
@@ -510,16 +485,6 @@ func TestGatewayAggregates(t *testing.T) {
 	}
 	if want := per[0].Workers + per[1].Workers; agg.Workers != want {
 		t.Fatalf("aggregate workers %d, want %d", agg.Workers, want)
-	}
-
-	var stats api.StatsResponse
-	resp, err := http.Get(ts.URL + "/v2/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
 	}
 	if stats.Jobs.Capacity == 0 || stats.Jobs.Concurrency == 0 {
 		t.Fatalf("aggregate stats look empty: %+v", stats.Jobs)
@@ -536,6 +501,109 @@ func TestGatewayAggregates(t *testing.T) {
 	for i, st := range per {
 		if st.Hits != 0 || st.Misses != 0 {
 			t.Fatalf("backend %d not reset: %+v", i, st)
+		}
+	}
+}
+
+// The pool-wide /v2/stats carries the admission counters too: when one
+// backend sheds a job, the gateway's aggregate reports the shed and
+// the summed queue bounds instead of a silent zero.
+func TestGatewayStatsSumsAdmission(t *testing.T) {
+	// One slot, a queue bound of 2 and a watermark of 1: a running job
+	// plus one queued job put the next same-priority submit at the
+	// watermark, where admission sheds it.
+	shedder := server.NewConfig(thermflow.NewBatch(1), server.Config{
+		Jobs: jobs.Config{Concurrency: 1, MaxQueue: 2, QueueWatermark: 1},
+	})
+	sts := httptest.NewServer(shedder)
+	t.Cleanup(func() { sts.Close(); shedder.Close() })
+	other, _ := newBackend(t)
+	_, ts := newTestGateway(t, Config{}, sts.URL, other.URL)
+
+	backend := client.New(sts.URL, nil, client.WithRetries(1))
+	ctx := context.Background()
+	for i := 0; i < 2; i++ { // the running job, then the queued one
+		if _, err := backend.SubmitJob(ctx, slowJob(i)); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	_, err := backend.SubmitJob(ctx, slowJob(2))
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit at the watermark: %v, want 503 shed", err)
+	}
+
+	stats, err := client.New(ts.URL, nil).Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Jobs; got.Shed != 1 || got.MaxQueue != 2 || got.Watermark != 1 {
+		t.Fatalf("aggregate admission = shed %d, max_queue %d, watermark %d; want 1, 2, 1",
+			got.Shed, got.MaxQueue, got.Watermark)
+	}
+}
+
+// slowJob is a cold-start analysis at a tight δ — long enough to hold
+// an engine slot across a few HTTP round trips. Distinct i values get
+// distinct job IDs.
+func slowJob(i int) api.JobRequest {
+	return api.JobRequest{Kernel: "matmul", Options: thermflow.Options{
+		NoWarmStart: true, Delta: 0.00005 + float64(i)*1e-7, MaxIter: 1 << 17, Kappa: 1,
+	}}
+}
+
+// The retired v1 surface is gone from both daemons, not merely
+// undocumented: every former route answers 404 on a backend and on the
+// gateway, and the request metrics file it under "other" rather than a
+// label of its own.
+func TestV1SurfaceGone(t *testing.T) {
+	bm := server.NewMetrics()
+	bsrv := server.NewConfig(thermflow.NewBatch(1), server.Config{Metrics: bm})
+	backend := httptest.NewServer(server.Chain(bsrv, server.WithMetrics(bm)))
+	t.Cleanup(func() { backend.Close(); bsrv.Close() })
+	gm := server.NewMetrics()
+	g, _ := newTestGateway(t, Config{Metrics: gm}, backend.URL)
+	gateway := httptest.NewServer(server.Chain(g, server.WithMetrics(gm)))
+	t.Cleanup(gateway.Close)
+
+	const v1 = "/v1" // the retired prefix
+	routes := []struct{ method, path, body string }{
+		{http.MethodPost, v1 + "/compile", `{"kernel":"dot"}`},
+		{http.MethodPost, v1 + "/batch", `{"jobs":[{"kernel":"dot"}]}`},
+		{http.MethodGet, v1 + "/kernels", ""},
+		{http.MethodGet, v1 + "/cache", ""},
+		{http.MethodDelete, v1 + "/cache", ""},
+	}
+	for _, daemon := range []struct{ name, url string }{{"thermflowd", backend.URL}, {"thermflowgate", gateway.URL}} {
+		for _, rt := range routes {
+			req, err := http.NewRequest(rt.method, daemon.url+rt.path, strings.NewReader(rt.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s %s: status %d, want 404", daemon.name, rt.method, rt.path, resp.StatusCode)
+			}
+		}
+		resp, err := http.Get(daemon.url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		exposition, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if strings.Contains(string(exposition), `route="`+v1) {
+			t.Errorf("%s: a v1 path got its own route label", daemon.name)
+		}
+		for _, method := range []string{"POST", "GET", "DELETE"} {
+			want := fmt.Sprintf(`thermflow_http_requests_total{route="other",method="%s",code="404"}`, method)
+			if !strings.Contains(string(exposition), want) {
+				t.Errorf("%s: exposition missing %s", daemon.name, want)
+			}
 		}
 	}
 }

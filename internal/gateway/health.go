@@ -113,14 +113,14 @@ func (g *Gateway) observeSuccess(name string) {
 }
 
 // reissueCacheReset retries a pool-wide cache reset on a backend the
-// original DELETE /v1/cache did not reach. On failure the pending flag
+// original DELETE /v2/cache did not reach. On failure the pending flag
 // stays set; the next successful contact tries again.
 func (g *Gateway) reissueCacheReset(name, auth string) {
 	defer g.wg.Done()
 	ctx, cancel := context.WithTimeout(context.Background(), replicatePushTimeout)
 	defer cancel()
 	ok := false
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, name+"/v1/cache", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, name+"/v2/cache", nil)
 	if err == nil {
 		if auth != "" {
 			req.Header.Set("Authorization", auth)

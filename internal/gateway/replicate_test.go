@@ -107,7 +107,7 @@ func newStubBackend(t *testing.T) *stubBackend {
 
 func (sb *stubBackend) newServer() *http.Server {
 	return &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodDelete && r.URL.Path == "/v1/cache" {
+		if r.Method == http.MethodDelete && r.URL.Path == "/v2/cache" {
 			sb.resets <- struct{}{}
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -129,7 +129,7 @@ func (sb *stubBackend) restart(t *testing.T) {
 	t.Cleanup(func() { _ = srv.Close() })
 }
 
-// DELETE /v1/cache reaches every configured member. A member that is
+// DELETE /v2/cache reaches every configured member. A member that is
 // down gets reported in Unreached (502) — not silently skipped — and
 // the reset is re-issued automatically when the member is readmitted.
 func TestGatewayCacheResetCoversEjectedBackend(t *testing.T) {
@@ -155,7 +155,7 @@ func TestGatewayCacheResetCoversEjectedBackend(t *testing.T) {
 	stub.kill()
 	waitFor(t, "stub ejection", func() bool { return ringLen() == 1 })
 
-	req, err := http.NewRequest(http.MethodDelete, gts.URL+"/v1/cache", nil)
+	req, err := http.NewRequest(http.MethodDelete, gts.URL+"/v2/cache", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

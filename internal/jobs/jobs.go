@@ -1,6 +1,6 @@
 // Package jobs layers an addressable, schedulable job lifecycle over
-// the batch compile engine: the substrate of thermflowd's v2 API and
-// of every later scaling layer (a sharding front server hashes the
+// the batch compile engine: the substrate of thermflowd's HTTP API and
+// of every scaling layer above it (the sharding gateway hashes the
 // same job IDs this registry files work under).
 //
 // A job is a thermflow.JobSpec — canonical source plus options — whose
@@ -23,7 +23,7 @@
 // the cancelled failure is never cached).
 //
 // The registry deliberately does not touch the engine's result store:
-// resetting the cache (DELETE /v1/cache) invalidates results, not job
+// resetting the cache (DELETE /v2/cache) invalidates results, not job
 // identity, so queued and running jobs keep their status entries and
 // simply recompute.
 //
@@ -613,55 +613,9 @@ func (r *Registry) expiryTimer(j *job) Timer {
 	})
 }
 
-// Do runs spec synchronously under the caller's context — the v1
-// adapter path. When the spec's ID names a registered job, Do waits on
-// it (one identity, one computation); otherwise it compiles through
-// the engine directly, request-scoped and unregistered, so a burst of
-// synchronous calls cannot evict the registry's addressable jobs.
-func (r *Registry) Do(ctx context.Context, spec thermflow.JobSpec) (Snapshot, error) {
-	id, err := spec.ID()
-	if err != nil {
-		return Snapshot{}, err
-	}
-	r.mu.Lock()
-	j, ok := r.jobs[id]
-	r.mu.Unlock()
-	if ok {
-		snap, err := r.wait(ctx, j)
-		if err != nil || snap.State.Terminal() {
-			// The registered job computed (or will have computed) the
-			// result; this caller shared it — the same "served, not
-			// compiled for you" that Cached means for v1 duplicates.
-			if snap.State == StateDone {
-				snap.Cached = true
-			}
-			return snap, err
-		}
-		// Fall through on a non-terminal snapshot without a ctx error
-		// (cannot happen today; be safe).
-	}
-	cjob, err := spec.CompileJob()
-	if err != nil {
-		return Snapshot{}, err
-	}
-	now := r.clock()
-	snap := Snapshot{ID: id, State: StateRunning, Priority: spec.Priority,
-		Submitted: now, Started: now}
-	if spec.Deadline > 0 {
-		snap.Deadline = now.Add(spec.Deadline)
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, snap.Deadline)
-		defer cancel()
-	}
-	res := r.b.Compile(ctx, []thermflow.CompileJob{cjob})[0]
-	snap.Finished = r.clock()
-	finishSnapshot(&snap, res)
-	return snap, nil
-}
-
 // Stream runs specs through the engine under the caller's context,
 // emitting one snapshot per spec in completion order — the batch
-// endpoints' backbone, v1 and v2 alike. The jobs are request-scoped
+// endpoint's backbone. The jobs are request-scoped
 // and unregistered; emit runs on engine workers and must be safe for
 // concurrent use. Specs sharing an ID with a registered job still
 // share its computation through the engine's single-flight layer.

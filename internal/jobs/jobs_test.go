@@ -196,7 +196,7 @@ func TestQueuedJobExpires(t *testing.T) {
 	}
 }
 
-// Satellite regression: DELETE /v1/cache while v2 jobs are queued and
+// Regression: DELETE /v2/cache while jobs are queued and
 // running must not orphan their status entries — the registry keeps
 // every job addressable and they all complete.
 func TestCacheResetDoesNotOrphanJobs(t *testing.T) {
@@ -310,51 +310,6 @@ func TestRetentionAndCapacity(t *testing.T) {
 	}
 	if _, err := r.Wait(context.Background(), s2.ID); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Do runs request-scoped without registering, shares registered jobs
-// by ID, and honours the caller's context.
-func TestDoSynchronous(t *testing.T) {
-	b := thermflow.NewBatch(2)
-	r := New(b, Config{})
-	defer r.Close()
-
-	spec := kernelSpec(t, "dot", thermflow.Options{})
-	snap, err := r.Do(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != StateDone || snap.Compiled == nil {
-		t.Fatalf("Do result: %+v", snap)
-	}
-	// Unregistered: the ID is not pollable...
-	if _, err := r.Get(snap.ID); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Do registered the job: %v", err)
-	}
-	// ...but the result is cached, so a registered submit of the same
-	// spec is served from the store.
-	reg, _, err := r.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := r.Wait(context.Background(), reg.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone || !final.Cached {
-		t.Errorf("registered duplicate of Do: %+v", final)
-	}
-
-	// A cancelled context surfaces as the job error, not a hang.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	snap, err = r.Do(ctx, slowSpec(t, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != StateFailed || !errors.Is(snap.Err, context.Canceled) {
-		t.Errorf("Do under cancelled ctx: %+v", snap)
 	}
 }
 

@@ -23,21 +23,15 @@ func newDiskServer(t *testing.T, dir string, workers int) (*httptest.Server, *th
 	return ts, b
 }
 
-// GET /v1/cache must expose both tiers; without -cache-dir the disk
-// tier reports disabled and all-zero.
+// GET /v2/stats must expose both cache tiers; without -cache-dir the
+// disk tier reports disabled and all-zero.
 func TestCacheStatsReportTiers(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
 	cl := client.New(ts.URL, nil)
-	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, err := cl.Compile(ctx, api.CompileRequest{Kernel: "dot"}); err != nil {
-			t.Fatal(err)
-		}
+		compileOne(t, cl, api.JobRequest{Kernel: "dot"})
 	}
-	st, err := cl.CacheStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := cacheStats(t, cl)
 	if st.DiskEnabled {
 		t.Error("memory-only server reports a disk tier")
 	}
@@ -59,14 +53,10 @@ func TestCacheStatsReportTiers(t *testing.T) {
 // cache directory serves the first server's results from disk.
 func TestRestartedServerComesBackWarm(t *testing.T) {
 	dir := t.TempDir()
-	ctx := context.Background()
-	req := api.CompileRequest{Kernel: "matmul", Options: thermflow.Options{Policy: thermflow.Chessboard}}
+	req := api.JobRequest{Kernel: "matmul", Options: thermflow.Options{Policy: thermflow.Chessboard}}
 
 	ts1, _ := newDiskServer(t, dir, 2)
-	first, err := client.New(ts1.URL, nil).Compile(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := compileOne(t, client.New(ts1.URL, nil), req)
 	if first.Cached {
 		t.Error("cold compile reported Cached")
 	}
@@ -74,10 +64,7 @@ func TestRestartedServerComesBackWarm(t *testing.T) {
 
 	ts2, _ := newDiskServer(t, dir, 2)
 	cl := client.New(ts2.URL, nil)
-	second, err := cl.Compile(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := compileOne(t, cl, req)
 	if !second.Cached {
 		t.Fatal("restarted server did not serve from disk")
 	}
@@ -85,40 +72,29 @@ func TestRestartedServerComesBackWarm(t *testing.T) {
 		first.Alloc.UsedRegs != second.Alloc.UsedRegs {
 		t.Errorf("disk result diverged: %+v vs %+v", first, second)
 	}
-	st, err := cl.CacheStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.DiskEnabled || st.Disk.Hits != 1 {
+	if st := cacheStats(t, cl); !st.DiskEnabled || st.Disk.Hits != 1 {
 		t.Errorf("disk tier after warm hit = %+v, want 1 hit", st.Disk)
 	}
 	// Third request: the promoted entry now hits in memory.
-	third, err := cl.Compile(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !third.Cached {
+	if third := compileOne(t, cl, req); !third.Cached {
 		t.Error("promoted entry missed")
 	}
-	if st, _ := cl.CacheStats(ctx); st.Memory.Hits != 1 || st.Disk.Hits != 1 {
+	if st := cacheStats(t, cl); st.Memory.Hits != 1 || st.Disk.Hits != 1 {
 		t.Errorf("promotion stats = mem %d / disk %d hits, want 1 / 1", st.Memory.Hits, st.Disk.Hits)
 	}
 }
 
-// DELETE /v1/cache must report zeroed stats for both tiers, and the
+// DELETE /v2/cache must report zeroed stats for both tiers, and the
 // disk entries must really be gone: a restart over the same directory
 // stays cold.
 func TestCacheResetZeroesBothTiers(t *testing.T) {
 	dir := t.TempDir()
 	ts, _ := newDiskServer(t, dir, 2)
 	cl := client.New(ts.URL, nil)
-	ctx := context.Background()
 	for _, kernel := range []string{"dot", "fib"} {
-		if _, err := cl.Compile(ctx, api.CompileRequest{Kernel: kernel}); err != nil {
-			t.Fatal(err)
-		}
+		compileOne(t, cl, api.JobRequest{Kernel: kernel})
 	}
-	st, err := cl.ResetCache(ctx)
+	st, err := cl.ResetCache(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,22 +109,14 @@ func TestCacheResetZeroesBothTiers(t *testing.T) {
 	if st.Disk != wantDisk {
 		t.Errorf("disk tier after reset = %+v, want zeroed", st.Disk)
 	}
-	// GET agrees with the DELETE response.
-	st2, err := cl.CacheStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Memory != wantMem || st2.Disk != wantDisk {
+	// GET /v2/stats agrees with the DELETE response.
+	if st2 := cacheStats(t, cl); st2.Memory != wantMem || st2.Disk != wantDisk {
 		t.Errorf("GET after DELETE = %+v / %+v, want zeroed", st2.Memory, st2.Disk)
 	}
 	ts.Close()
 
 	ts2, _ := newDiskServer(t, dir, 2)
-	resp, err := client.New(ts2.URL, nil).Compile(ctx, api.CompileRequest{Kernel: "dot"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cached {
+	if resp := compileOne(t, client.New(ts2.URL, nil), api.JobRequest{Kernel: "dot"}); resp.Cached {
 		t.Error("reset disk entries survived a restart")
 	}
 }
@@ -163,10 +131,10 @@ func TestCacheResetWhileBatchInFlight(t *testing.T) {
 	cl := client.New(ts.URL, nil)
 	ctx := context.Background()
 
-	jobs := make([]api.CompileRequest, 40)
+	jobs := make([]api.JobRequest, 40)
 	for i := range jobs {
 		// Distinct keys: vary the register count so every job compiles.
-		jobs[i] = api.CompileRequest{Kernel: "matmul", Options: thermflow.Options{NumRegs: 16 + i}}
+		jobs[i] = api.JobRequest{Kernel: "matmul", Options: thermflow.Options{NumRegs: 16 + i}}
 	}
 
 	var wg sync.WaitGroup
@@ -175,7 +143,7 @@ func TestCacheResetWhileBatchInFlight(t *testing.T) {
 	var streamErr error
 	go func() {
 		defer wg.Done()
-		streamErr = cl.CompileBatch(ctx, jobs, func(item api.BatchItem) {
+		streamErr = cl.CompileBatchJobs(ctx, jobs, func(item api.JobItem) {
 			if item.Error != "" {
 				streamErr = fmt.Errorf("job %d: %s", item.Index, item.Error)
 			}
@@ -202,4 +170,14 @@ func TestCacheResetWhileBatchInFlight(t *testing.T) {
 	if streamed != len(jobs) {
 		t.Fatalf("streamed %d of %d results across a reset", streamed, len(jobs))
 	}
+}
+
+// cacheStats reads the server's cache counters from GET /v2/stats.
+func cacheStats(t *testing.T, cl *client.Client) api.CacheStats {
+	t.Helper()
+	st, err := cl.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Cache
 }

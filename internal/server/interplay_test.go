@@ -16,10 +16,10 @@ import (
 
 // These tests pin down how the middleware compose — the interactions
 // the per-middleware tests cannot see: the request deadline against a
-// flushing NDJSON stream, and the rate limiter's bucket map against an
-// open-ended client population.
+// flushing NDJSON stream, and the quota rate limiter's bucket map
+// against an open-ended client population.
 
-// slowBatchBody builds a /v1/batch request whose first job is a plain
+// slowBatchBody builds a /v2/batch request whose first job is a plain
 // fast compile (so one item flushes almost immediately) and whose
 // remaining jobs converge slowly — no warm start, κ=1, a δ below
 // floating-point progress, a six-figure sweep cap: several hundred
@@ -47,7 +47,7 @@ func TestTimeoutDoesNotCutCompletingStream(t *testing.T) {
 	ts := httptest.NewServer(Chain(s, WithTimeout(time.Minute)))
 	t.Cleanup(ts.Close)
 
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(slowBatchBody(4)))
+	resp, err := http.Post(ts.URL+"/v2/batch", "application/json", strings.NewReader(slowBatchBody(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestTimeoutDoesNotCutCompletingStream(t *testing.T) {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var item api.BatchItem
+		var item api.JobItem
 		if err := json.Unmarshal(sc.Bytes(), &item); err != nil {
 			t.Fatalf("line %d not an item: %v: %s", items, err, sc.Text())
 		}
@@ -89,7 +89,7 @@ func TestTimeoutMidStreamEndsWithoutLate503(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	start := time.Now()
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(slowBatchBody(8)))
+	resp, err := http.Post(ts.URL+"/v2/batch", "application/json", strings.NewReader(slowBatchBody(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTimeoutMidStreamEndsWithoutLate503(t *testing.T) {
 		if line == "" {
 			continue
 		}
-		var item api.BatchItem
+		var item api.JobItem
 		if err := json.Unmarshal([]byte(line), &item); err != nil {
 			t.Fatalf("mid-stream line is not a batch item: %q", line)
 		}
@@ -134,10 +134,11 @@ func TestTimeoutMidStreamEndsWithoutLate503(t *testing.T) {
 func TestRateLimiterSweepsIdleBucketsAtBound(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	rl := newRateLimiter(10, 5, clock)
+	rl := newRateLimiter(clock)
+	allow := func(key string) (bool, time.Duration) { return rl.allowRate(key, 10, 5) }
 
 	for i := 0; i < maxRateClients; i++ {
-		if ok, _ := rl.allow(fmt.Sprintf("client-%d", i)); !ok {
+		if ok, _ := allow(fmt.Sprintf("client-%d", i)); !ok {
 			t.Fatalf("fresh client %d rejected", i)
 		}
 	}
@@ -148,7 +149,7 @@ func TestRateLimiterSweepsIdleBucketsAtBound(t *testing.T) {
 	// Everyone idles long enough to refill to full burst; the next new
 	// client must sweep them all.
 	now = now.Add(time.Minute)
-	if ok, _ := rl.allow("the-straw"); !ok {
+	if ok, _ := allow("the-straw"); !ok {
 		t.Fatal("new client rejected at the bound")
 	}
 	if n := len(rl.buckets); n != 1 {
@@ -157,11 +158,11 @@ func TestRateLimiterSweepsIdleBucketsAtBound(t *testing.T) {
 
 	// The surviving bucket is live: burst-1 more requests pass, then 429.
 	for i := 0; i < 4; i++ {
-		if ok, _ := rl.allow("the-straw"); !ok {
+		if ok, _ := allow("the-straw"); !ok {
 			t.Fatalf("request %d within burst rejected after sweep", i+2)
 		}
 	}
-	if ok, wait := rl.allow("the-straw"); ok || wait <= 0 {
+	if ok, wait := allow("the-straw"); ok || wait <= 0 {
 		t.Fatalf("burst exhausted yet allowed (ok=%v wait=%s)", ok, wait)
 	}
 }
@@ -172,13 +173,13 @@ func TestRateLimiterSweepsIdleBucketsAtBound(t *testing.T) {
 func TestRateLimiterFullResetWhenAllActive(t *testing.T) {
 	now := time.Unix(2000, 0)
 	clock := func() time.Time { return now }
-	rl := newRateLimiter(10, 5, clock)
+	rl := newRateLimiter(clock)
 
 	for i := 0; i < maxRateClients; i++ {
-		rl.allow(fmt.Sprintf("client-%d", i))
+		rl.allowRate(fmt.Sprintf("client-%d", i), 10, 5)
 	}
 	// No time passes: every bucket sits below full burst.
-	if ok, _ := rl.allow("overload-straw"); !ok {
+	if ok, _ := rl.allowRate("overload-straw", 10, 5); !ok {
 		t.Fatal("new client rejected during full reset")
 	}
 	if n := len(rl.buckets); n != 1 {
@@ -193,13 +194,13 @@ func TestRateLimiterFullResetWhenAllActive(t *testing.T) {
 // with Retry-After amid the churn.
 func TestRateLimitManyDistinctClients(t *testing.T) {
 	now := time.Unix(3000, 0)
-	h := WithRateLimit(1, 2, false, func() time.Time { return now })(
+	h := WithQuotas(QuotaConfig{Quotas: defaultQuota(t, 1, 2), Clock: func() time.Time { return now }})(
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusOK)
 		}))
 
 	hit := func(host string) int {
-		r := httptest.NewRequest("GET", "/v1/kernels", nil)
+		r := httptest.NewRequest("GET", "/v2/kernels", nil)
 		r.RemoteAddr = host + ":1234"
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, r)

@@ -269,8 +269,7 @@ func routeOf(r *http.Request) string {
 		}
 	}
 	switch p {
-	case "/v1/compile", "/v1/batch", "/v1/kernels", "/v1/cache",
-		"/v2/jobs", "/v2/batch", "/v2/stats", "/metrics",
+	case "/v2/jobs", "/v2/batch", "/v2/stats", "/v2/kernels", "/v2/cache", "/metrics",
 		"/v2/regions/solve", "/v2/regions/collect",
 		"/gateway/backends", "/gateway/drain", "/gateway/undrain":
 		return p

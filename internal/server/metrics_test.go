@@ -49,9 +49,8 @@ func scrape(t *testing.T, baseURL string) string {
 func TestMetricsEndpointServesRequestSeries(t *testing.T) {
 	ts, _ := newMetricsServer(t)
 
-	// Drive one compile (counts as /v1/compile), one unknown route, and
-	// the scrape itself.
-	status, _ := post(t, ts.URL+"/v1/compile", `{"kernel":"dot"}`)
+	// Drive one batch compile, one unknown route, and the scrape itself.
+	status, _ := post(t, ts.URL+"/v2/batch", `{"jobs":[{"kernel":"dot"}]}`)
 	if status != http.StatusOK {
 		t.Fatalf("compile status = %d", status)
 	}
@@ -61,9 +60,9 @@ func TestMetricsEndpointServesRequestSeries(t *testing.T) {
 
 	out := scrape(t, ts.URL)
 	for _, want := range []string{
-		`thermflow_http_requests_total{route="/v1/compile",method="POST",code="200"} 1`,
+		`thermflow_http_requests_total{route="/v2/batch",method="POST",code="200"} 1`,
 		`thermflow_http_requests_total{route="other",method="GET",code="404"} 1`,
-		`thermflow_http_request_seconds_count{route="/v1/compile"} 1`,
+		`thermflow_http_request_seconds_count{route="/v2/batch"} 1`,
 		"# TYPE thermflow_http_request_seconds histogram",
 		"thermflow_http_inflight_requests",
 		"thermflow_goroutines",
@@ -79,7 +78,7 @@ func TestMetricsEngineAndSolverSeries(t *testing.T) {
 
 	// Same kernel twice: one miss (compiled, one solver run), one hit.
 	for i := 0; i < 2; i++ {
-		if status, body := post(t, ts.URL+"/v1/compile", `{"kernel":"dot"}`); status != http.StatusOK {
+		if status, body := post(t, ts.URL+"/v2/batch", `{"jobs":[{"kernel":"dot"}]}`); status != http.StatusOK {
 			t.Fatalf("compile %d: status %d: %s", i, status, body)
 		}
 	}
@@ -103,8 +102,9 @@ func TestMetricsEngineAndSolverSeries(t *testing.T) {
 
 func TestRouteOfBoundsCardinality(t *testing.T) {
 	cases := map[string]string{
-		"/v1/compile":           "/v1/compile",
 		"/v2/jobs":              "/v2/jobs",
+		"/v2/kernels":           "/v2/kernels",
+		"/v2/cache":             "/v2/cache",
 		"/v2/jobs/abc123":       "/v2/jobs/{id}",
 		"/v2/jobs/abc123/wait":  "/v2/jobs/{id}/wait",
 		"/v2/jobs/x/replica":    "/v2/jobs/{id}/replica",
@@ -116,7 +116,11 @@ func TestRouteOfBoundsCardinality(t *testing.T) {
 		"/random/client/path":   "other",
 		"/v2/jobsx":             "other",
 		"/":                     "other",
-		"/v1/compile/extra/bit": "other",
+		"/v2/cache/extra/bit":   "other",
+	}
+	// The retired v1 surface has no label of its own.
+	for _, name := range []string{"compile", "batch", "kernels", "cache"} {
+		cases["/v1"+"/"+name] = "other"
 	}
 	for path, want := range cases {
 		r := httptest.NewRequest("GET", path, nil)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -25,10 +24,10 @@ import (
 
 // This file is thermflowd's middleware stack: small composable
 // http.Handler wrappers for the concerns that sit in front of every
-// endpoint — request identity, access logging, bearer-token auth,
-// per-client rate limiting, and body/deadline caps. The handlers
+// endpoint — request identity, access logging, bearer-token auth, and
+// body/deadline caps (per-tenant quotas live in quota.go). The handlers
 // themselves stay oblivious; cmd/thermflowd composes the chain from
-// its flags (ROADMAP "server hardening for real traffic").
+// its flags.
 
 // Middleware wraps an http.Handler.
 type Middleware func(http.Handler) http.Handler
@@ -369,126 +368,6 @@ func WithAuth(a Authorizer) Middleware {
 			next.ServeHTTP(w, r)
 		})
 	}
-}
-
-// maxRateClients bounds the rate limiter's per-client bucket map; at
-// the bound, buckets refilled to full burst (idle clients) are swept.
-const maxRateClients = 65536
-
-// rateLimiter is a per-client token bucket: rate tokens/second refill,
-// burst capacity. A request costs one token; an empty bucket is a 429
-// with the refill wait in Retry-After. The rate and burst fields are
-// the uniform defaults allow uses; allowRate charges a bucket under a
-// caller-supplied shape, which is how per-tenant quotas (and their
-// hot reloads) take effect without rebuilding the limiter.
-type rateLimiter struct {
-	rate  float64
-	burst float64
-	clock func() time.Time
-
-	mu      sync.Mutex
-	buckets map[string]*bucket
-}
-
-// bucket remembers the shape it was charged under so a sweep can tell
-// idle (fully refilled) buckets apart even when tenants have different
-// shapes, and so allowRate can detect a reloaded quota.
-type bucket struct {
-	tokens float64
-	rate   float64
-	burst  float64
-	last   time.Time
-}
-
-func newRateLimiter(rate float64, burst int, clock func() time.Time) *rateLimiter {
-	if clock == nil {
-		clock = time.Now
-	}
-	if burst <= 0 {
-		burst = int(math.Max(1, 2*rate))
-	}
-	return &rateLimiter{
-		rate: rate, burst: float64(burst), clock: clock,
-		buckets: make(map[string]*bucket),
-	}
-}
-
-// allow charges one token to key under the limiter's uniform shape,
-// reporting success or the wait until the next token.
-func (rl *rateLimiter) allow(key string) (bool, time.Duration) {
-	return rl.allowRate(key, rl.rate, rl.burst)
-}
-
-// allowRate charges one token to key under the given shape. A changed
-// shape — the tenant's quota was hot-reloaded — re-primes the bucket
-// to the new full burst: the operator's new envelope takes effect on
-// the next request, not after the old debt drains at the new rate.
-func (rl *rateLimiter) allowRate(key string, rate, burst float64) (bool, time.Duration) {
-	now := rl.clock()
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	b, ok := rl.buckets[key]
-	if !ok {
-		if len(rl.buckets) >= maxRateClients {
-			rl.sweepLocked()
-		}
-		b = &bucket{tokens: burst, rate: rate, burst: burst, last: now}
-		rl.buckets[key] = b
-	}
-	if b.rate != rate || b.burst != burst {
-		b.tokens, b.rate, b.burst = burst, rate, burst
-	}
-	b.tokens = math.Min(burst, b.tokens+rate*now.Sub(b.last).Seconds())
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	wait := time.Duration((1 - b.tokens) / rate * float64(time.Second))
-	return false, wait
-}
-
-// sweepLocked drops idle (fully refilled) buckets; if every client is
-// active, it drops everything — a full reset under genuine overload
-// beats unbounded growth.
-func (rl *rateLimiter) sweepLocked() {
-	for k, b := range rl.buckets {
-		if b.tokens >= b.burst {
-			delete(rl.buckets, k)
-		}
-	}
-	if len(rl.buckets) >= maxRateClients {
-		rl.buckets = make(map[string]*bucket)
-	}
-}
-
-// evict drops every bucket whose key matches pred — the reload hooks
-// use it so a rotated-out token's bucket cannot linger until the map
-// hits its bound (and so a token re-added later starts from a fresh
-// full burst instead of inheriting stale debt).
-func (rl *rateLimiter) evict(pred func(key string) bool) {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	for k := range rl.buckets {
-		if pred(k) {
-			delete(rl.buckets, k)
-		}
-	}
-}
-
-// WithRateLimit enforces a per-client token bucket of rate
-// requests/second with the given burst (burst <= 0 selects 2×rate,
-// minimum 1) — the uniform, tenant-blind shape of WithQuotas, kept
-// for deployments without a quota file. byToken keys clients by their
-// bearer token, falling back to peer host — set it ONLY when the
-// limiter sits behind WithAuth in the chain, so every token it sees is
-// validated and one tenant cannot starve another behind the same NAT.
-// Without auth, leave it false: an unvalidated Authorization header
-// would mint a fresh full bucket per request, bypassing the limit
-// entirely. Rejections are 429 with Retry-After in (ceiled) seconds.
-// clock nil selects time.Now; tests inject a fake.
-func WithRateLimit(rate float64, burst int, byToken bool, clock func() time.Time) Middleware {
-	return WithQuotas(QuotaConfig{Rate: rate, Burst: burst, ByToken: byToken, Clock: clock})
 }
 
 // WithBodyLimit caps request bodies at n bytes; oversized reads fail

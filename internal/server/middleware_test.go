@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"thermflow"
+	"thermflow/internal/tenant"
 )
 
 // authedServer wraps a full server in the production middleware order.
@@ -60,7 +61,7 @@ func TestAuthMiddleware(t *testing.T) {
 	ts := authedServer(t, WithAuth(tokens))
 
 	for _, token := range []string{"", "wrong", "secret-a-longer"} {
-		resp := doReq(t, http.MethodGet, ts.URL+"/v1/kernels", token)
+		resp := doReq(t, http.MethodGet, ts.URL+"/v2/kernels", token)
 		if resp.StatusCode != http.StatusUnauthorized {
 			t.Errorf("token %q: status = %d, want 401", token, resp.StatusCode)
 		}
@@ -69,7 +70,7 @@ func TestAuthMiddleware(t *testing.T) {
 		}
 	}
 	for _, token := range []string{"secret-a", "secret-b"} {
-		resp := doReq(t, http.MethodGet, ts.URL+"/v1/kernels", token)
+		resp := doReq(t, http.MethodGet, ts.URL+"/v2/kernels", token)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("token %q: status = %d, want 200", token, resp.StatusCode)
 		}
@@ -89,9 +90,20 @@ func TestLoadTokenFileRejectsEmpty(t *testing.T) {
 	}
 }
 
+// defaultQuota is a quota table holding only a default profile — the
+// global per-client limit, as the quota file
+// {"default": {"rate": rate, "burst": burst}} declares it.
+func defaultQuota(t *testing.T, rate float64, burst int) *tenant.Quotas {
+	t.Helper()
+	q, err := tenant.Parse([]byte(fmt.Sprintf(`{"default": {"rate": %g, "burst": %d}}`, rate, burst)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 // The token bucket: a burst is admitted, the next request is 429 with
-// Retry-After, and refill readmits — the satellite's refill property,
-// deterministic under a fake clock.
+// Retry-After, and refill readmits — deterministic under a fake clock.
 func TestRateLimitBurstAndRefill(t *testing.T) {
 	clk := struct {
 		mu  sync.Mutex
@@ -108,8 +120,8 @@ func TestRateLimitBurstAndRefill(t *testing.T) {
 		clk.mu.Unlock()
 	}
 
-	ts := authedServer(t, WithRateLimit(1, 2, false, clock))
-	get := func() *http.Response { return doReq(t, http.MethodGet, ts.URL+"/v1/cache", "") }
+	ts := authedServer(t, WithQuotas(QuotaConfig{Quotas: defaultQuota(t, 1, 2), Clock: clock}))
+	get := func() *http.Response { return doReq(t, http.MethodGet, ts.URL+"/v2/stats", "") }
 
 	for i := 0; i < 2; i++ {
 		if resp := get(); resp.StatusCode != http.StatusOK {
@@ -139,29 +151,29 @@ func TestRateLimitBurstAndRefill(t *testing.T) {
 	}
 }
 
-// With byToken (behind auth), clients are keyed independently: one
-// tenant's burst does not charge another's bucket.
+// With ByToken (behind auth), default-profile clients are keyed
+// independently: one client's burst does not charge another's bucket.
 func TestRateLimitPerClient(t *testing.T) {
-	ts := authedServer(t, WithRateLimit(0.001, 1, true, nil))
-	if resp := doReq(t, http.MethodGet, ts.URL+"/v1/cache", "tenant-a"); resp.StatusCode != http.StatusOK {
+	ts := authedServer(t, WithQuotas(QuotaConfig{Quotas: defaultQuota(t, 0.001, 1), ByToken: true}))
+	if resp := doReq(t, http.MethodGet, ts.URL+"/v2/stats", "tenant-a"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("tenant-a first request: %d", resp.StatusCode)
 	}
-	if resp := doReq(t, http.MethodGet, ts.URL+"/v1/cache", "tenant-a"); resp.StatusCode != http.StatusTooManyRequests {
+	if resp := doReq(t, http.MethodGet, ts.URL+"/v2/stats", "tenant-a"); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("tenant-a second request: %d, want 429", resp.StatusCode)
 	}
-	if resp := doReq(t, http.MethodGet, ts.URL+"/v1/cache", "tenant-b"); resp.StatusCode != http.StatusOK {
+	if resp := doReq(t, http.MethodGet, ts.URL+"/v2/stats", "tenant-b"); resp.StatusCode != http.StatusOK {
 		t.Errorf("tenant-b charged for tenant-a's burst: %d", resp.StatusCode)
 	}
 }
 
-// Without auth (byToken false), an unvalidated Authorization header
+// Without auth (ByToken false), an unvalidated Authorization header
 // must NOT mint a fresh bucket — regression for the limiter bypass
 // where each request carried a new random token.
 func TestRateLimitIgnoresUnvalidatedTokens(t *testing.T) {
-	ts := authedServer(t, WithRateLimit(0.001, 2, false, nil))
+	ts := authedServer(t, WithQuotas(QuotaConfig{Quotas: defaultQuota(t, 0.001, 2)}))
 	statuses := make(map[int]int)
 	for i := 0; i < 4; i++ {
-		resp := doReq(t, http.MethodGet, ts.URL+"/v1/cache", fmt.Sprintf("fresh-token-%d", i))
+		resp := doReq(t, http.MethodGet, ts.URL+"/v2/stats", fmt.Sprintf("fresh-token-%d", i))
 		statuses[resp.StatusCode]++
 	}
 	if statuses[http.StatusTooManyRequests] == 0 {
@@ -180,13 +192,13 @@ func TestRequestIDAndAccessLog(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(lockedWriter{&mu, &buf}, nil))
 	ts := authedServer(t, WithRequestID(), WithAccessLog(logger))
 
-	resp := doReq(t, http.MethodGet, ts.URL+"/v1/cache", "")
+	resp := doReq(t, http.MethodGet, ts.URL+"/v2/stats", "")
 	generated := resp.Header.Get(RequestIDHeader)
 	if generated == "" {
 		t.Error("no request ID generated")
 	}
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/cache", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v2/stats", nil)
 	req.Header.Set(RequestIDHeader, "trace-42")
 	resp2, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -197,7 +209,7 @@ func TestRequestIDAndAccessLog(t *testing.T) {
 		t.Errorf("supplied request ID not echoed: %q", got)
 	}
 
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/cache", nil)
+	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v2/stats", nil)
 	req.Header.Set(RequestIDHeader, "evil\tid")
 	resp3, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -214,7 +226,7 @@ func TestRequestIDAndAccessLog(t *testing.T) {
 	if !strings.Contains(logs, `"req_id":"trace-42"`) || !strings.Contains(logs, `"status":200`) {
 		t.Errorf("access log missing fields:\n%s", logs)
 	}
-	if !strings.Contains(logs, `"path":"/v1/cache"`) {
+	if !strings.Contains(logs, `"path":"/v2/stats"`) {
 		t.Errorf("access log missing path:\n%s", logs)
 	}
 }
@@ -243,7 +255,7 @@ func TestMiddlewareChainEndToEnd(t *testing.T) {
 		WithAccessLog(logger),
 		WithBodyLimit(MaxBodyBytes),
 		WithAuth(tokens),
-		WithRateLimit(1000, 1000, true, nil),
+		WithQuotas(QuotaConfig{Quotas: defaultQuota(t, 1000, 1000), ByToken: true}),
 	)
 
 	body := strings.NewReader(`{"jobs":[{"kernel":"dot"},{"kernel":"fir"}]}`)
@@ -273,13 +285,14 @@ func TestMiddlewareChainEndToEnd(t *testing.T) {
 	}
 }
 
-// An unauthenticated probe must not reach the handlers even when rate
-// limiting sits behind auth in the chain.
+// An unauthenticated probe must not reach the handlers even when quotas
+// sit behind auth in the chain.
 func TestAuthBeforeHandlers(t *testing.T) {
-	ts := authedServer(t, WithAuth(NewTokenSet("tok")), WithRateLimit(100, 100, true, nil))
-	resp := doReq(t, http.MethodDelete, ts.URL+"/v1/cache", "")
+	ts := authedServer(t, WithAuth(NewTokenSet("tok")),
+		WithQuotas(QuotaConfig{Quotas: defaultQuota(t, 100, 100), ByToken: true}))
+	resp := doReq(t, http.MethodDelete, ts.URL+"/v2/cache", "")
 	if resp.StatusCode != http.StatusUnauthorized {
-		t.Errorf("unauthenticated DELETE /v1/cache: %d, want 401", resp.StatusCode)
+		t.Errorf("unauthenticated DELETE /v2/cache: %d, want 401", resp.StatusCode)
 	}
 }
 

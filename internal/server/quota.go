@@ -50,14 +50,16 @@ type QuotaSource interface {
 
 // QuotaConfig parameterizes WithQuotas.
 type QuotaConfig struct {
-	// Quotas resolves tokens to profiles. Nil selects a uniform table
-	// built from Rate and Burst — the tenant-blind WithRateLimit shape.
+	// Quotas resolves tokens to profiles (required). A single global
+	// limit is a table holding only a default profile — a quota file
+	// of {"default": {"rate": N, "burst": M}}.
 	Quotas QuotaSource
-	// Rate and Burst shape the uniform table when Quotas is nil.
-	Rate  float64
-	Burst int
 	// ByToken keys default-profile buckets by bearer token instead of
-	// peer host. Set it only behind WithAuth (see WithRateLimit).
+	// peer host. Set it ONLY when WithQuotas sits behind WithAuth in the
+	// chain, so every token it sees is validated and one client cannot
+	// starve another behind the same NAT. Without auth, leave it false:
+	// an unvalidated Authorization header would mint a fresh full
+	// bucket per request, bypassing the limit entirely.
 	ByToken bool
 	// TrustHeader accepts the TenantHeader name stamped by a fronting
 	// gateway when the token itself resolves only to the default
@@ -80,18 +82,14 @@ type QuotaConfig struct {
 // gateway-stamped TenantHeader when trusted), pays one token from the
 // profile's rate bucket, and — on the compute endpoints — holds one of
 // the profile's MaxConcurrent slots for its duration. Rejections are
-// 429 with Retry-After: the tenant exceeded its own envelope. The
-// resolved profile rides the request context (TenantProfile) so the
-// job layer can apply the profile's class and queue caps without
-// re-resolving. Quota hot-reloads (tenant.Source.Reload, SIGHUP) take
-// effect on the next request; in-flight requests finish under the
-// profile they entered with.
+// 429 with Retry-After (in ceiled seconds): the tenant exceeded its own
+// envelope. The resolved profile rides the request context
+// (TenantProfile) so the job layer can apply the profile's class and
+// queue caps without re-resolving. Quota hot-reloads
+// (tenant.Source.Reload, SIGHUP) take effect on the next request;
+// in-flight requests finish under the profile they entered with.
 func WithQuotas(cfg QuotaConfig) Middleware {
-	qs := cfg.Quotas
-	if qs == nil {
-		qs = tenant.Uniform(cfg.Rate, cfg.Burst)
-	}
-	rl := newRateLimiter(cfg.Rate, cfg.Burst, cfg.Clock)
+	rl := newRateLimiter(cfg.Clock)
 	if cfg.Tokens != nil {
 		cfg.Tokens.OnReload(func(ts *TokenSet) {
 			rl.evict(func(key string) bool {
@@ -115,10 +113,10 @@ func WithQuotas(cfg QuotaConfig) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			token := bearerToken(r)
-			p, named := qs.Lookup(token)
+			p, named := cfg.Quotas.Lookup(token)
 			if !named && cfg.TrustHeader {
 				if name := r.Header.Get(TenantHeader); name != "" {
-					if tp := qs.ByName(name); tp != nil {
+					if tp := cfg.Quotas.ByName(name); tp != nil {
 						p, named = tp, true
 					}
 				}
@@ -202,7 +200,7 @@ func quotaKey(p *tenant.Profile, named bool, token string, byToken bool, r *http
 }
 
 // burstOf resolves a profile's bucket capacity (0 selects 2×rate,
-// minimum 1 — the WithRateLimit default).
+// minimum 1).
 func burstOf(p *tenant.Profile) float64 {
 	if p.Burst > 0 {
 		return float64(p.Burst)
@@ -210,24 +208,107 @@ func burstOf(p *tenant.Profile) float64 {
 	return math.Max(1, 2*p.Rate)
 }
 
-// isComputeRequest marks the synchronous endpoints whose whole
-// duration is compute: the ones MaxConcurrent slots meter. The async
-// submit path is metered at the registry instead (queued and running
-// caps), where a slot actually means engine work.
+// isComputeRequest marks the synchronous endpoint whose whole duration
+// is compute — the batch stream — which MaxConcurrent slots meter. The
+// async submit path is metered at the registry instead (queued and
+// running caps), where a slot actually means engine work.
 func isComputeRequest(r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		return false
-	}
-	switch r.URL.Path {
-	case "/v1/compile", "/v1/batch", "/v2/batch":
-		return true
-	}
-	return false
+	return r.Method == http.MethodPost && r.URL.Path == "/v2/batch"
 }
 
 // isJobRequest marks the endpoints that hand the engine work — the
-// compute set plus the async v2 submit — for the per-tenant served-jobs
+// batch stream plus the async submit — for the per-tenant served-jobs
 // counter.
 func isJobRequest(r *http.Request) bool {
 	return isComputeRequest(r) || (r.Method == http.MethodPost && r.URL.Path == "/v2/jobs")
+}
+
+// maxRateClients bounds the rate limiter's per-client bucket map; at
+// the bound, buckets refilled to full burst (idle clients) are swept.
+const maxRateClients = 65536
+
+// rateLimiter is a map of per-client token buckets. A request costs
+// one token; an empty bucket is a 429 with the refill wait in
+// Retry-After. allowRate charges a bucket under a caller-supplied
+// shape, which is how per-tenant quotas (and their hot reloads) take
+// effect without rebuilding the limiter.
+type rateLimiter struct {
+	clock func() time.Time
+
+	mu      sync.Mutex
+	buckets map[string]*bucket
+}
+
+// bucket remembers the shape it was charged under so a sweep can tell
+// idle (fully refilled) buckets apart even when tenants have different
+// shapes, and so allowRate can detect a reloaded quota.
+type bucket struct {
+	tokens float64
+	rate   float64
+	burst  float64
+	last   time.Time
+}
+
+func newRateLimiter(clock func() time.Time) *rateLimiter {
+	if clock == nil {
+		clock = time.Now
+	}
+	return &rateLimiter{clock: clock, buckets: make(map[string]*bucket)}
+}
+
+// allowRate charges one token to key under the given shape. A changed
+// shape — the tenant's quota was hot-reloaded — re-primes the bucket
+// to the new full burst: the operator's new envelope takes effect on
+// the next request, not after the old debt drains at the new rate.
+func (rl *rateLimiter) allowRate(key string, rate, burst float64) (bool, time.Duration) {
+	now := rl.clock()
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	b, ok := rl.buckets[key]
+	if !ok {
+		if len(rl.buckets) >= maxRateClients {
+			rl.sweepLocked()
+		}
+		b = &bucket{tokens: burst, rate: rate, burst: burst, last: now}
+		rl.buckets[key] = b
+	}
+	if b.rate != rate || b.burst != burst {
+		b.tokens, b.rate, b.burst = burst, rate, burst
+	}
+	b.tokens = math.Min(burst, b.tokens+rate*now.Sub(b.last).Seconds())
+	b.last = now
+	if b.tokens >= 1 {
+		b.tokens--
+		return true, 0
+	}
+	wait := time.Duration((1 - b.tokens) / rate * float64(time.Second))
+	return false, wait
+}
+
+// sweepLocked drops idle (fully refilled) buckets; if every client is
+// active, it drops everything — a full reset under genuine overload
+// beats unbounded growth.
+func (rl *rateLimiter) sweepLocked() {
+	for k, b := range rl.buckets {
+		if b.tokens >= b.burst {
+			delete(rl.buckets, k)
+		}
+	}
+	if len(rl.buckets) >= maxRateClients {
+		rl.buckets = make(map[string]*bucket)
+	}
+}
+
+// evict drops every bucket whose key matches pred — the reload hooks
+// use it so a rotated-out token's bucket cannot linger until the map
+// hits its bound (and so a token re-added later starts from a fresh
+// full burst instead of inheriting stale debt).
+func (rl *rateLimiter) evict(pred func(key string) bool) {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	for k := range rl.buckets {
+		if pred(k) {
+			delete(rl.buckets, k)
+		}
+	}
 }

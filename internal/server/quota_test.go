@@ -44,7 +44,7 @@ func TestQuotasPerTenantRates(t *testing.T) {
 	}
 	ts := authedServer(t, WithQuotas(QuotaConfig{Quotas: src, ByToken: true}))
 	get := func(token string) int {
-		return doReq(t, http.MethodGet, ts.URL+"/v1/cache", token).StatusCode
+		return doReq(t, http.MethodGet, ts.URL+"/v2/stats", token).StatusCode
 	}
 
 	if got := get("tok-slow"); got != http.StatusOK {
@@ -138,14 +138,14 @@ func TestQuotaSourceReloadFailureKeepsOldQuotas(t *testing.T) {
 	}
 	ts := authedServer(t, WithQuotas(QuotaConfig{Quotas: src, ByToken: true}))
 
-	if got := doReq(t, http.MethodGet, ts.URL+"/v1/cache", "tok").StatusCode; got != http.StatusOK {
+	if got := doReq(t, http.MethodGet, ts.URL+"/v2/stats", "tok").StatusCode; got != http.StatusOK {
 		t.Fatalf("first request: %d", got)
 	}
 	rewriteFile(t, path, `{"tenants": [{"name": "acme", "class": "no-such-class"`)
 	if err := src.Reload(); err == nil {
 		t.Fatal("reload of a malformed quota file did not fail")
 	}
-	if got := doReq(t, http.MethodGet, ts.URL+"/v1/cache", "tok").StatusCode; got != http.StatusTooManyRequests {
+	if got := doReq(t, http.MethodGet, ts.URL+"/v2/stats", "tok").StatusCode; got != http.StatusTooManyRequests {
 		t.Fatalf("post-failed-reload request: %d, want 429 under the OLD quotas", got)
 	}
 }
@@ -162,17 +162,18 @@ func TestRateBucketEvictionOnTokenRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl := newRateLimiter(0.001, 1, nil)
+	rl := newRateLimiter(nil)
+	allow := func(key string) (bool, time.Duration) { return rl.allowRate(key, 0.001, 1) }
 	tokens.OnReload(func(ts *TokenSet) {
 		rl.evict(func(key string) bool { return !ts.Allow(key[len("t:"):]) })
 	})
 
 	// Drain both tokens' buckets.
 	for _, tok := range []string{"tok-a", "tok-b"} {
-		if ok, _ := rl.allow("t:" + tok); !ok {
+		if ok, _ := allow("t:" + tok); !ok {
 			t.Fatalf("%s first request should pass", tok)
 		}
-		if ok, _ := rl.allow("t:" + tok); ok {
+		if ok, _ := allow("t:" + tok); ok {
 			t.Fatalf("%s second request should be limited", tok)
 		}
 	}
@@ -193,7 +194,7 @@ func TestRateBucketEvictionOnTokenRotation(t *testing.T) {
 	}
 	// tok-a keeps its drained state; a hypothetically re-added tok-b
 	// would start fresh (the bucket is gone).
-	if ok, _ := rl.allow("t:tok-a"); ok {
+	if ok, _ := allow("t:tok-a"); ok {
 		t.Fatal("surviving token's bucket was reset by the rotation")
 	}
 }
@@ -209,7 +210,7 @@ func TestTenantBucketEvictionOnQuotaReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := authedServer(t, WithQuotas(QuotaConfig{Quotas: src, ByToken: true}))
-	get := func() int { return doReq(t, http.MethodGet, ts.URL+"/v1/cache", "tok-g").StatusCode }
+	get := func() int { return doReq(t, http.MethodGet, ts.URL+"/v2/stats", "tok-g").StatusCode }
 
 	if got := get(); got != http.StatusOK {
 		t.Fatalf("first request: %d", got)
@@ -228,7 +229,7 @@ func TestTenantBucketEvictionOnQuotaReload(t *testing.T) {
 	}
 }
 
-// MaxConcurrent: the compute endpoints hold a tenant slot for their
+// MaxConcurrent: the batch stream holds a tenant slot for its
 // duration; the request over the cap is 429 with Retry-After, and
 // finishing a request frees the slot.
 func TestQuotaConcurrencyLimit(t *testing.T) {
@@ -250,7 +251,7 @@ func TestQuotaConcurrencyLimit(t *testing.T) {
 	defer ts.Close()
 
 	post := func() *http.Response {
-		return doReq(t, http.MethodPost, ts.URL+"/v1/compile", "tok")
+		return doReq(t, http.MethodPost, ts.URL+"/v2/batch", "tok")
 	}
 	first := make(chan int, 1)
 	go func() { first <- post().StatusCode }()
@@ -264,7 +265,7 @@ func TestQuotaConcurrencyLimit(t *testing.T) {
 		t.Error("concurrency 429 missing Retry-After")
 	}
 	// Non-compute requests are not metered by MaxConcurrent.
-	if got := doReq(t, http.MethodGet, ts.URL+"/v1/cache", "tok").StatusCode; got != http.StatusOK {
+	if got := doReq(t, http.MethodGet, ts.URL+"/v2/stats", "tok").StatusCode; got != http.StatusOK {
 		t.Fatalf("GET under a full compute slot: %d, want 200", got)
 	}
 

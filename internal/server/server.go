@@ -1,18 +1,16 @@
 // Package server implements thermflowd's HTTP/JSON API over a shared
-// compile engine. Since the v2 redesign the unit of work is the job:
-// every request — v1 or v2 — is canonicalized into a thermflow.JobSpec
-// whose content hash is the job ID, the engine cache key and the
-// disk-tier entry name at once, and execution flows through the
-// internal/jobs registry. The v1 endpoints are thin synchronous
-// adapters over that layer (submit, wait inline, translate); the v2
-// endpoints expose it directly: submit returns a handle immediately,
-// status is polled or long-polled, and duplicate submissions of the
-// same content converge on one job.
+// compile engine. The unit of work is the job: every request is
+// canonicalized into a thermflow.JobSpec whose content hash is the job
+// ID, the engine cache key and the disk-tier entry name at once, and
+// execution flows through the internal/jobs registry. Submit returns a
+// handle immediately, status is polled or long-polled, duplicate
+// submissions of the same content converge on one job, and batches
+// stream ID-keyed results as NDJSON.
 //
-// Cross-cutting concerns — bearer-token auth, per-client rate
-// limiting, request IDs, access logs, body and deadline caps — live in
-// the composable middleware stack (middleware.go), wired around the
-// handler by cmd/thermflowd.
+// Cross-cutting concerns — bearer-token auth, per-tenant quotas,
+// request IDs, access logs, body and deadline caps — live in the
+// composable middleware stack (middleware.go, quota.go), wired around
+// the handler by cmd/thermflowd.
 //
 // Wire types live in the thermflow/api package. Status mapping:
 //
@@ -20,21 +18,23 @@
 //	401 missing/invalid bearer token (with -auth-token-file)
 //	404 unknown route or job ID
 //	422 well-formed but unsatisfiable: unknown enum or kernel name,
-//	    IR parse/verify failure, allocation spill-budget exhaustion
-//	429 per-client rate limit exceeded (with -rate-limit)
-//	500 internal fault (a compile panic, isolated to the one job)
-//	503 job registry at capacity with live jobs
+//	    IR parse/verify failure
+//	429 tenant over its own quota (with -quota-file)
+//	500 internal fault (a cache reset that could not delete its disk tier)
+//	503 job registry at capacity or shedding
 //	504 job deadline expired (the body carries its JobStatus)
+//
+// A job that runs and fails — spill-budget exhaustion, say, or a
+// compile panic isolated to the one job — is not an HTTP error: it
+// reaches state "failed" with the error in its status (or batch item).
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
-	"sync"
 	"time"
 
 	"thermflow"
@@ -104,11 +104,6 @@ func NewConfig(b *thermflow.Batch, cfg Config) *Server {
 	s := &Server{batch: b, jobs: jobs.New(b, cfg.Jobs), replicas: replicas,
 		regions: newRegionStore(0), metrics: cfg.Metrics, trace: cfg.Trace,
 		mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/kernels", s.handleKernels)
-	s.mux.HandleFunc("GET /v1/cache", s.handleCacheGet)
-	s.mux.HandleFunc("DELETE /v1/cache", s.handleCacheReset)
 	s.mux.HandleFunc("POST /v2/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v2/jobs/{id}", s.handleJobGet)
 	s.mux.HandleFunc("GET /v2/jobs/{id}/wait", s.handleJobWait)
@@ -118,6 +113,8 @@ func NewConfig(b *thermflow.Batch, cfg Config) *Server {
 	s.mux.HandleFunc("POST /v2/regions/solve", s.handleRegionSolve)
 	s.mux.HandleFunc("POST /v2/regions/collect", s.handleRegionCollect)
 	s.mux.HandleFunc("GET /v2/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v2/kernels", s.handleKernels)
+	s.mux.HandleFunc("DELETE /v2/cache", s.handleCacheReset)
 	if cfg.Metrics != nil {
 		cfg.Metrics.InstrumentEngine(b, s.jobs)
 		s.mux.Handle("GET /metrics", cfg.Metrics.Handler())
@@ -206,59 +203,18 @@ func ResolveSpec(req api.JobRequest) (thermflow.JobSpec, error) {
 	return spec, nil
 }
 
-// classify maps a compile failure to its HTTP status and client-safe
-// message: panics are internal faults — logged server-side with their
-// stack, but never shipped to the client — while everything else
-// (spill-budget exhaustion, impossible option combinations) is a
-// property of the request and travels verbatim.
-func classify(err error) (int, string) {
+// failureMessage is a failed job's client-safe error text: panics are
+// internal faults — logged server-side with their stack, but never
+// shipped to the client — while everything else (spill-budget
+// exhaustion, impossible option combinations) is a property of the
+// request and travels verbatim.
+func failureMessage(err error) string {
 	var pe *batch.PanicError
 	if errors.As(err, &pe) {
 		log.Printf("server: compile panic: %v", pe)
-		return http.StatusInternalServerError, "internal error: compile panicked (isolated to this job)"
+		return "internal error: compile panicked (isolated to this job)"
 	}
-	return http.StatusUnprocessableEntity, err.Error()
-}
-
-// handleCompile is the v1 synchronous endpoint, an adapter over the
-// job layer: canonicalize, run request-scoped, translate the terminal
-// snapshot back into the v1 wire shape.
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	var req api.CompileRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	spec, err := ResolveSpec(api.JobRequest{
-		Kernel: req.Kernel, Program: req.Program, Root: req.Root, Options: req.Options,
-	})
-	if err != nil {
-		WriteErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	snap, err := s.jobs.Do(r.Context(), spec)
-	if err != nil {
-		// Do's error is either the request context's (server-side
-		// timeout, or the client hanging up while sharing a registered
-		// job) or a spec-level failure. A context error is not a 422 —
-		// the request was fine; time ran out.
-		if r.Context().Err() != nil {
-			if errors.Is(r.Context().Err(), context.DeadlineExceeded) {
-				WriteErr(w, http.StatusGatewayTimeout, "request deadline exceeded")
-			}
-			return // cancelled: the client is gone
-		}
-		WriteErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	if snap.Err != nil {
-		if r.Context().Err() != nil {
-			return // client gone; nothing to write to
-		}
-		status, msg := classify(snap.Err)
-		WriteErr(w, status, "%s", msg)
-		return
-	}
-	WriteJSON(w, http.StatusOK, api.ResponseFor(snap.Compiled, snap.Cached))
+	return err.Error()
 }
 
 // resolveBatch canonicalizes a batch's worth of requests before the
@@ -288,54 +244,7 @@ func resolveBatch(w http.ResponseWriter, reqs []api.JobRequest) ([]thermflow.Job
 	return specs, true
 }
 
-// ndjsonEmitter serializes batch snapshots onto an NDJSON stream. The
-// mutex orders concurrent engine workers; a write failure means the
-// client disconnected — the request context is cancelled and the
-// stream just drains.
-func ndjsonEmitter(w http.ResponseWriter, item func(int, jobs.Snapshot) any) func(int, jobs.Snapshot) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var mu sync.Mutex
-	enc := json.NewEncoder(w)
-	return func(i int, snap jobs.Snapshot) {
-		v := item(i, snap)
-		mu.Lock()
-		defer mu.Unlock()
-		_ = enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
-
-// handleBatch is the v1 streaming endpoint, an adapter over the job
-// layer's Stream: items are keyed by index only, as v1 clients expect.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req api.BatchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	jreqs := make([]api.JobRequest, len(req.Jobs))
-	for i, jr := range req.Jobs {
-		jreqs[i] = api.JobRequest{Kernel: jr.Kernel, Program: jr.Program, Root: jr.Root, Options: jr.Options}
-	}
-	specs, ok := resolveBatch(w, jreqs)
-	if !ok {
-		return
-	}
-	emit := ndjsonEmitter(w, func(i int, snap jobs.Snapshot) any {
-		item := api.BatchItem{Index: i}
-		if snap.Err != nil {
-			_, item.Error = classify(snap.Err)
-		} else {
-			item.Result = api.ResponseFor(snap.Compiled, snap.Cached)
-		}
-		return item
-	})
-	_, _ = s.jobs.Stream(r.Context(), specs, emit) // specs pre-validated
-}
-
+// handleKernels is GET /v2/kernels: the built-in benchmark kernels.
 func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 	list, err := api.KernelList()
 	if err != nil {
@@ -364,10 +273,6 @@ func tierStats(t thermflow.CacheTierStats) api.TierStats {
 	}
 }
 
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.cacheStats())
-}
-
 // handleStats is GET /v2/stats: one cheap snapshot of the job registry
 // and the result store — the status hook a fronting gateway polls for
 // health and capacity, and what operators curl first.
@@ -383,6 +288,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleCacheReset is DELETE /v2/cache: drop both result-store tiers
+// and zero the counters, answering with the zeroed CacheStats.
 func (s *Server) handleCacheReset(w http.ResponseWriter, r *http.Request) {
 	// Resetting the result store invalidates results, not job
 	// identity: queued and running v2 jobs keep their registry entries

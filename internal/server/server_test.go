@@ -39,12 +39,31 @@ func post(t *testing.T, url, body string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
+// compileOne runs req through POST /v2/batch as a one-job stream — the
+// request-scoped synchronous path — and returns its result.
+func compileOne(t *testing.T, cl *client.Client, req api.JobRequest) *api.CompileResponse {
+	t.Helper()
+	var got *api.JobItem
+	err := cl.CompileBatchJobs(context.Background(), []api.JobRequest{req}, func(item api.JobItem) {
+		got = &item
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == nil || got.Error != "" || got.Result == nil {
+		t.Fatalf("compile of %+v: %+v", req, got)
+	}
+	return got.Result
+}
+
 func TestMalformedJSONIs400(t *testing.T) {
 	ts, _ := newTestServer(t, 1)
-	for _, body := range []string{"{not json", "", "[1,2,3", `{"kernel": }`} {
-		status, _ := post(t, ts.URL+"/v1/compile", body)
-		if status != http.StatusBadRequest {
-			t.Errorf("body %q: status = %d, want 400", body, status)
+	for _, path := range []string{"/v2/jobs", "/v2/batch"} {
+		for _, body := range []string{"{not json", "", "[1,2,3", `{"kernel": }`} {
+			status, _ := post(t, ts.URL+path, body)
+			if status != http.StatusBadRequest {
+				t.Errorf("%s body %q: status = %d, want 400", path, body, status)
+			}
 		}
 	}
 }
@@ -62,7 +81,7 @@ func TestUnknownNamesAre422(t *testing.T) {
 		{"bad IR", `{"program":"this is not IR"}`},
 	}
 	for _, tc := range cases {
-		status, body := post(t, ts.URL+"/v1/compile", tc.body)
+		status, body := post(t, ts.URL+"/v2/jobs", tc.body)
 		if status != http.StatusUnprocessableEntity {
 			t.Errorf("%s: status = %d, want 422 (body %s)", tc.name, status, body)
 		}
@@ -74,57 +93,67 @@ func TestUnknownNamesAre422(t *testing.T) {
 
 	// The same validation guards the batch endpoint, before the stream
 	// starts.
-	status, _ := post(t, ts.URL+"/v1/batch",
+	status, _ := post(t, ts.URL+"/v2/batch",
 		`{"jobs":[{"kernel":"matmul"},{"kernel":"matmul","options":{"policy":"nope"}}]}`)
 	if status != http.StatusUnprocessableEntity {
 		t.Errorf("batch with bad job: status = %d, want 422", status)
 	}
 }
 
-func TestSpillBudgetIs422(t *testing.T) {
+// Spill-budget exhaustion is a property of the job, not of the
+// request: the submit is accepted and the job fails with the budget
+// error, promptly, in both the async and the batch shape.
+func TestSpillBudgetFailsJob(t *testing.T) {
 	ts, _ := newTestServer(t, 1)
+	cl := client.New(ts.URL, nil)
+	ctx := context.Background()
+	req := api.JobRequest{Kernel: "matmul", Options: thermflow.Options{NumRegs: 1}}
 	start := time.Now()
-	status, body := post(t, ts.URL+"/v1/compile", `{"kernel":"matmul","options":{"num_regs":1}}`)
-	if status != http.StatusUnprocessableEntity {
-		t.Fatalf("NumRegs 1: status = %d, want 422 (body %s)", status, body)
+	st, err := cl.RunJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(body, "budget") {
-		t.Errorf("NumRegs 1: error body %q does not mention the budget", body)
+	if st.State != "failed" || !strings.Contains(st.Error, "budget") {
+		t.Fatalf("NumRegs 1: job %s with error %q, want failed mentioning the budget", st.State, st.Error)
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Errorf("NumRegs 1 took %v; the budget should bound it", elapsed)
+	}
+	var item api.JobItem
+	if err := cl.CompileBatchJobs(ctx, []api.JobRequest{req}, func(it api.JobItem) { item = it }); err != nil {
+		t.Fatal(err)
+	}
+	if item.Result != nil || !strings.Contains(item.Error, "budget") {
+		t.Errorf("batch item %+v, want the budget error", item)
 	}
 }
 
 func TestSecondIdenticalRequestIsCached(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
 	cl := client.New(ts.URL, nil)
-	req := api.CompileRequest{Kernel: "dot", Options: thermflow.Options{Policy: thermflow.Chessboard}}
+	req := api.JobRequest{Kernel: "dot", Options: thermflow.Options{Policy: thermflow.Chessboard}}
 
-	first, err := cl.Compile(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := compileOne(t, cl, req)
 	if first.Cached {
 		t.Error("first compile reported Cached")
 	}
-	second, err := cl.Compile(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := compileOne(t, cl, req)
 	if !second.Cached {
 		t.Error("second identical compile not Cached")
 	}
 	if first.PeakTemp != second.PeakTemp || !second.Converged {
 		t.Errorf("cached result diverges: %v vs %v", first.PeakTemp, second.PeakTemp)
 	}
-	// A different program with the same options must not share.
-	other, err := cl.Compile(context.Background(),
-		api.CompileRequest{Kernel: "fib", Options: req.Options})
+	// A registered job of the same content is served from the store too.
+	st, err := cl.RunJob(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other.Cached {
+	if st.State != "done" || !st.Cached || st.Result.PeakTemp != first.PeakTemp {
+		t.Errorf("submitted repeat: %+v", st)
+	}
+	// A different program with the same options must not share.
+	if other := compileOne(t, cl, api.JobRequest{Kernel: "fib", Options: req.Options}); other.Cached {
 		t.Error("different kernel reported Cached")
 	}
 }
@@ -133,20 +162,18 @@ func TestCacheResetZeroesStats(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
 	cl := client.New(ts.URL, nil)
 	ctx := context.Background()
-	req := api.CompileRequest{Kernel: "dot"}
+	req := api.JobRequest{Kernel: "dot"}
 	for i := 0; i < 3; i++ {
-		if _, err := cl.Compile(ctx, req); err != nil {
-			t.Fatal(err)
-		}
+		compileOne(t, cl, req)
 	}
-	st, err := cl.CacheStats(ctx)
+	stats, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Misses != 1 || st.Hits != 2 {
+	if st := stats.Cache; st.Misses != 1 || st.Hits != 2 {
 		t.Errorf("stats before reset = %+v, want 1 miss / 2 hits", st)
 	}
-	st, err = cl.ResetCache(ctx)
+	st, err := cl.ResetCache(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +181,7 @@ func TestCacheResetZeroesStats(t *testing.T) {
 		t.Errorf("stats after reset = %+v, want all zero", st)
 	}
 	// The next identical request recompiles: the cache is really gone.
-	resp, err := cl.Compile(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cached {
+	if resp := compileOne(t, cl, req); resp.Cached {
 		t.Error("compile after reset reported Cached")
 	}
 }
@@ -166,15 +189,15 @@ func TestCacheResetZeroesStats(t *testing.T) {
 func TestBatchStreamsOneItemPerJob(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
 	cl := client.New(ts.URL, nil)
-	jobs := []api.CompileRequest{
+	jobs := []api.JobRequest{
 		{Kernel: "dot"},
 		{Kernel: "fib"},
 		{Kernel: "dot"}, // duplicate of job 0: shares its result
 		{Kernel: "dot", Options: thermflow.Options{Policy: thermflow.Chessboard}},
 	}
 	var mu sync.Mutex
-	got := make(map[int]api.BatchItem)
-	err := cl.CompileBatch(context.Background(), jobs, func(item api.BatchItem) {
+	got := make(map[int]api.JobItem)
+	err := cl.CompileBatchJobs(context.Background(), jobs, func(item api.JobItem) {
 		mu.Lock()
 		got[item.Index] = item
 		mu.Unlock()
@@ -208,10 +231,10 @@ func TestBatchStreamsOneItemPerJob(t *testing.T) {
 // slowJobs builds n distinct jobs that each take tens of milliseconds:
 // cold-start analysis at a tight δ, with a per-job δ perturbation so no
 // two share a cache key.
-func slowJobs(n int) []api.CompileRequest {
-	jobs := make([]api.CompileRequest, n)
+func slowJobs(n int) []api.JobRequest {
+	jobs := make([]api.JobRequest, n)
 	for i := range jobs {
-		jobs[i] = api.CompileRequest{
+		jobs[i] = api.JobRequest{
 			Kernel: "matmul",
 			Options: thermflow.Options{
 				NoWarmStart: true,
@@ -234,7 +257,7 @@ func TestClientDisconnectCancelsRemainingJobs(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := cl.CompileBatch(ctx, slowJobs(n), func(item api.BatchItem) {
+	err := cl.CompileBatchJobs(ctx, slowJobs(n), func(item api.JobItem) {
 		cancel() // disconnect after the first streamed result
 	})
 	if err == nil {
@@ -292,7 +315,7 @@ func TestConcurrentIdenticalRequestsSingleFlight(t *testing.T) {
 	// else sharing it.
 	ts, b := newTestServer(t, 4)
 	cl := client.New(ts.URL, nil)
-	req := api.CompileRequest{Kernel: "matmul", Options: thermflow.Options{
+	req := api.JobRequest{Kernel: "matmul", Options: thermflow.Options{
 		NoWarmStart: true, Delta: 0.0005, MaxIter: 32768, Kappa: 1,
 	}}
 	const n = 6
@@ -302,7 +325,7 @@ func TestConcurrentIdenticalRequestsSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = cl.Compile(context.Background(), req)
+			errs[i] = cl.CompileBatchJobs(context.Background(), []api.JobRequest{req}, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -318,12 +341,19 @@ func TestConcurrentIdenticalRequestsSingleFlight(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	ts, _ := newTestServer(t, 1)
-	resp, err := http.Get(ts.URL + "/v1/compile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/compile: status = %d, want 405", resp.StatusCode)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/v2/batch"},
+		{http.MethodGet, "/v2/cache"}, // cache counters live in /v2/stats
+		{http.MethodPost, "/v2/kernels"},
+	} {
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status = %d, want 405", tc.method, tc.path, resp.StatusCode)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"thermflow/api"
@@ -14,11 +15,10 @@ import (
 	"thermflow/internal/tenant"
 )
 
-// This file is the v2 job-oriented surface: the asynchronous lifecycle
-// over the internal/jobs registry. Submitting returns a handle
-// immediately; the handle's ID is the canonical content hash, so
-// polling, result-store entries and a future sharding front server all
-// speak the same identity.
+// This file is the job lifecycle over the internal/jobs registry.
+// Submitting returns a handle immediately; the handle's ID is the
+// canonical content hash, so polling, result-store entries and the
+// sharding gateway all speak the same identity.
 
 // Long-poll bounds for GET /v2/jobs/{id}/wait.
 const (
@@ -41,7 +41,7 @@ func jobStatus(snap jobs.Snapshot) api.JobStatus {
 		DeadlineMS:  unixMS(snap.Deadline),
 	}
 	if snap.Err != nil {
-		_, st.Error = classify(snap.Err)
+		st.Error = failureMessage(snap.Err)
 	}
 	if snap.State == jobs.StateDone && snap.Compiled != nil {
 		st.Result = api.ResponseFor(snap.Compiled, snap.Cached)
@@ -226,9 +226,12 @@ func (s *Server) handleJobWait(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, statusCode(snap), jobStatus(snap))
 }
 
-// handleJobsBatch is POST /v2/batch: the streaming NDJSON shape of v1,
-// item-keyed by job ID — the form a sharding front server can fan out
-// and re-merge, since IDs are stable across backends.
+// handleJobsBatch is POST /v2/batch: one request-scoped NDJSON stream,
+// items keyed by index and job ID — the form a sharding front server
+// can fan out and re-merge, since IDs are stable across backends. The
+// mutex orders concurrent engine workers; a write failure means the
+// client disconnected — the request context is cancelled and the
+// stream just drains.
 func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.JobsBatchRequest
 	if !decode(w, r, &req) {
@@ -238,14 +241,23 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	emit := ndjsonEmitter(w, func(i int, snap jobs.Snapshot) any {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	var mu sync.Mutex
+	enc := json.NewEncoder(w)
+	_, _ = s.jobs.Stream(r.Context(), specs, func(i int, snap jobs.Snapshot) {
 		item := api.JobItem{Index: i, ID: snap.ID}
 		if snap.Err != nil {
-			_, item.Error = classify(snap.Err)
+			item.Error = failureMessage(snap.Err)
 		} else {
 			item.Result = api.ResponseFor(snap.Compiled, snap.Cached)
 		}
-		return item
-	})
-	_, _ = s.jobs.Stream(r.Context(), specs, emit) // specs pre-validated
+		mu.Lock()
+		defer mu.Unlock()
+		_ = enc.Encode(item)
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}) // specs pre-validated
 }

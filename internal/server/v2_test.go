@@ -86,8 +86,8 @@ func getJSON(t *testing.T, url string, out any) int {
 }
 
 // The v2 lifecycle end to end: submit returns a handle immediately,
-// wait long-polls to done, the result matches the synchronous v1 path,
-// and a duplicate submit converges on the same job.
+// wait long-polls to done, the result matches the batch stream's, and
+// a duplicate submit converges on the same job.
 func TestV2SubmitWaitDone(t *testing.T) {
 	ts, _ := newJobsServer(t, 2, Config{})
 	req := api.JobRequest{Kernel: "fir", Options: thermflow.Options{Policy: thermflow.Chessboard}}
@@ -111,18 +111,24 @@ func TestV2SubmitWaitDone(t *testing.T) {
 		t.Errorf("lifecycle timestamps missing: %+v", final)
 	}
 
-	// The result agrees with the v1 synchronous path (served from the
-	// same cache entry — one identity).
-	var v1 api.CompileResponse
-	if status := postJSON(t, ts.URL+"/v1/compile",
-		api.CompileRequest{Kernel: "fir", Options: req.Options}, &v1); status != http.StatusOK {
-		t.Fatalf("v1 compile status = %d", status)
+	// The result agrees with the batch stream (served from the same
+	// cache entry — one identity).
+	resp, err := http.Post(ts.URL+"/v2/batch", "application/json",
+		strings.NewReader(`{"jobs":[{"kernel":"fir","options":{"policy":"chessboard"}}]}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !v1.Cached {
-		t.Error("v1 compile of the finished job was not served from cache")
+	var item api.JobItem
+	err = json.NewDecoder(resp.Body).Decode(&item)
+	resp.Body.Close()
+	if err != nil || item.Result == nil {
+		t.Fatalf("batch item: %+v (%v)", item, err)
 	}
-	if v1.PeakTemp != final.Result.PeakTemp {
-		t.Errorf("v1 and v2 results diverge: %v vs %v", v1.PeakTemp, final.Result.PeakTemp)
+	if item.ID != submitted.ID || !item.Result.Cached {
+		t.Errorf("batch of the finished job: ID %s cached %v, want %s from cache", item.ID, item.Result.Cached, submitted.ID)
+	}
+	if item.Result.PeakTemp != final.Result.PeakTemp {
+		t.Errorf("batch and job results diverge: %v vs %v", item.Result.PeakTemp, final.Result.PeakTemp)
 	}
 
 	// Duplicate submit: same ID, not a new job.

@@ -103,7 +103,7 @@ type Profile struct {
 	// registry queue at once (0 = unlimited).
 	MaxQueue int
 	// MaxConcurrent caps the tenant's simultaneously running jobs and
-	// its in-flight synchronous compile requests (0 = unlimited).
+	// its in-flight batch streams (0 = unlimited).
 	MaxConcurrent int
 }
 
@@ -115,17 +115,6 @@ type Quotas struct {
 	byToken map[string]*Profile
 	byName  map[string]*Profile
 	names   []string // listing order, for logs
-}
-
-// Uniform builds a single-profile table: every caller shares the given
-// rate/burst under the default profile. It is the compatibility shape
-// of the pre-tenancy -rate-limit flag.
-func Uniform(rate float64, burst int) *Quotas {
-	return &Quotas{
-		def:     Profile{Name: "default", Class: ClassStandard, Rate: rate, Burst: burst},
-		byToken: map[string]*Profile{},
-		byName:  map[string]*Profile{},
-	}
 }
 
 // Default returns the profile applied to tokens no tenant claims.

@@ -104,11 +104,21 @@ func TestEffectivePriorityClassDominates(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	q := Uniform(7, 14)
-	p, named := q.Lookup("whatever")
-	if named || p.Rate != 7 || p.Burst != 14 || p.Class != ClassStandard {
-		t.Fatalf("Uniform lookup = %+v (named=%v)", p, named)
+// A default-only quota file is the global per-client limit: every
+// token, known or not, resolves to the default profile's envelope.
+func TestDefaultOnlyProfile(t *testing.T) {
+	q, err := Parse([]byte(`{"default": {"rate": 7, "burst": 14}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tok := range []string{"", "whatever"} {
+		p, named := q.Lookup(tok)
+		if named || p.Name != "default" || p.Rate != 7 || p.Burst != 14 || p.Class != ClassStandard {
+			t.Fatalf("Lookup(%q) = %+v (named=%v)", tok, p, named)
+		}
+	}
+	if len(q.Names()) != 0 {
+		t.Fatalf("default-only table names tenants: %v", q.Names())
 	}
 }
 

@@ -77,7 +77,7 @@ fi
 
 # The observability plane saw the traffic: both the gateway and a
 # backend expose non-trivial /metrics.
-curl -s "$gw/metrics" | grep -q 'thermflow_http_requests_total{route="/v1/compile"' ||
+curl -s "$gw/metrics" | grep -q 'thermflow_http_requests_total{route="/v2/jobs"' ||
 	{ echo "bench_load: gateway /metrics missing request series"; curl -s "$gw/metrics" | head -40; exit 1; }
 curl -s "$b1/metrics" | grep -q 'thermflow_solver_runs_total' ||
 	{ echo "bench_load: backend /metrics missing solver series"; curl -s "$b1/metrics" | head -40; exit 1; }

@@ -25,12 +25,12 @@ go build -o "$tmp/experiments" ./cmd/experiments
 
 # The readiness probe must not touch the cache: run 2's disk-hit
 # count is the measurement, so warming any entry before it would
-# inflate the numbers. /v1/kernels compiles nothing.
+# inflate the numbers. /v2/stats compiles nothing.
 start_server() {
 	"$tmp/thermflowd" -addr "127.0.0.1:$port" -cache-dir "$cache" >>"$tmp/thermflowd.log" 2>&1 &
 	spid=$!
 	i=0
-	until curl -sf "$base/v1/kernels" >/dev/null 2>&1; do
+	until curl -sf "$base/v2/stats" >/dev/null 2>&1; do
 		i=$((i + 1))
 		[ "$i" -ge 50 ] && { echo "thermflowd did not come up"; cat "$tmp/thermflowd.log"; exit 1; }
 		sleep 0.2

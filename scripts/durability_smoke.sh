@@ -32,7 +32,7 @@ start_daemon() {
 		-job-snapshot-every 32 >>"$tmp/d.log" 2>&1 &
 	dpid=$!
 	i=0
-	until curl -s "$base/v1/kernels" >/dev/null 2>&1; do
+	until curl -s "$base/v2/stats" >/dev/null 2>&1; do
 		i=$((i + 1))
 		[ "$i" -ge 50 ] && { echo "thermflowd did not come up"; cat "$tmp/d.log"; exit 1; }
 		sleep 0.2

@@ -57,7 +57,7 @@ printf '%s' "$summary" | grep -q "jobs=99 errors=0" ||
 
 # Both shards compiled part of it.
 for b in "$b1" "$b2"; do
-	misses="$(curl -s "$b/v1/cache" | sed -n 's/.*"misses": *\([0-9]*\).*/\1/p' | head -1)"
+	misses="$(curl -s "$b/v2/stats" | sed -n 's/.*"misses": *\([0-9]*\).*/\1/p' | head -1)"
 	[ -n "$misses" ] && [ "$misses" -gt 0 ] ||
 		{ echo "smoke: backend $b compiled nothing (misses=$misses) - no sharding?"; exit 1; }
 done
@@ -98,7 +98,7 @@ echo "smoke: GET /v2/jobs/{id} resolved on the owning shard"
 # tight delta slow each compile to hundreds of raw Fig. 2 sweeps,
 # keeping the batch in flight for seconds (~3 s on one CI core) so the
 # kill at 0.2 s lands well inside the stream.
-curl -s -X DELETE "$gw/v1/cache" >/dev/null
+curl -s -X DELETE "$gw/v2/cache" >/dev/null
 kernels="dot saxpy fir matmul bubblesort histogram checksum scaledsum transpose prefixsum fib"
 jobs=""
 for k in $kernels; do

@@ -1,10 +1,10 @@
 #!/bin/sh
-# CI smoke test for the v2 job API and the middleware stack: start
-# thermflowd with bearer-token auth and a per-client rate limit, then
-# assert 401 without a token, the submit -> poll -> done lifecycle,
-# duplicate-submit convergence on one job ID, the ID-keyed batch
-# stream, and a 429 (with Retry-After) from a tightly limited second
-# instance. Fast (<30 s).
+# CI smoke test for the job API and the middleware stack: start
+# thermflowd with bearer-token auth, then assert 401 without a token,
+# the submit -> poll -> done lifecycle, duplicate-submit convergence on
+# one job ID, the ID-keyed batch stream, and a 429 (with Retry-After)
+# from a second instance whose quota file holds only a tight default
+# profile. Fast (<30 s).
 set -eu
 
 port="${PORT:-18437}"
@@ -21,7 +21,7 @@ printf '# smoke tokens\n%s\n' "$token" >"$tmp/tokens"
 go build -o "$tmp/thermflowd" ./cmd/thermflowd
 
 "$tmp/thermflowd" -addr "127.0.0.1:$port" -auth-token-file "$tmp/tokens" \
-	-rate-limit 200 -rate-burst 400 >"$tmp/thermflowd.log" 2>&1 &
+	>"$tmp/thermflowd.log" 2>&1 &
 spid=$!
 
 # curl helpers: code prints only the status, auth adds the bearer token.
@@ -31,17 +31,17 @@ authcurl() { curl -s -H "Authorization: Bearer $token" "$@"; }
 # Readiness doubles as the 401 assertion: an unauthenticated probe must
 # be answered (not refused) and rejected.
 i=0
-until [ "$(code "$base/v1/kernels" || true)" = "401" ]; do
+until [ "$(code "$base/v2/stats" || true)" = "401" ]; do
 	i=$((i + 1))
 	[ "$i" -ge 50 ] && { echo "thermflowd did not come up"; cat "$tmp/thermflowd.log"; exit 1; }
 	sleep 0.2
 done
 echo "smoke: unauthenticated request -> 401"
 
-wrong="$(code -H 'Authorization: Bearer wrong-token' "$base/v1/kernels")"
+wrong="$(code -H 'Authorization: Bearer wrong-token' "$base/v2/kernels")"
 [ "$wrong" = "401" ] || { echo "smoke: wrong token -> $wrong, want 401"; exit 1; }
 
-ok="$(code -H "Authorization: Bearer $token" "$base/v1/kernels")"
+ok="$(code -H "Authorization: Bearer $token" "$base/v2/kernels")"
 [ "$ok" = "200" ] || { echo "smoke: authed kernels -> $ok, want 200"; exit 1; }
 echo "smoke: bearer token accepted -> 200"
 
@@ -80,19 +80,22 @@ distinct="$(printf '%s\n' "$stream" | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p'
 [ "$distinct" = "2" ] || { echo "smoke: batch ids not deduplicated (distinct=$distinct)"; exit 1; }
 echo "smoke: batch stream id-keyed (3 items, 2 distinct jobs)"
 
-# A tightly limited instance answers a burst with 429 + Retry-After.
-"$tmp/thermflowd" -addr "127.0.0.1:$port2" -rate-limit 1 -rate-burst 2 \
+# A tightly limited instance answers a burst with 429 + Retry-After. A
+# global per-client limit is a quota file holding only a default
+# profile.
+printf '{"default":\n  {"rate": 1, "burst": 2}}\n' >"$tmp/quotas.json"
+"$tmp/thermflowd" -addr "127.0.0.1:$port2" -quota-file "$tmp/quotas.json" \
 	>"$tmp/thermflowd2.log" 2>&1 &
 spid2=$!
 i=0
-until [ "$(code "$base2/v1/kernels" || true)" = "200" ]; do
+until [ "$(code "$base2/v2/stats" || true)" = "200" ]; do
 	i=$((i + 1))
 	[ "$i" -ge 50 ] && { echo "rate-limited thermflowd did not come up"; cat "$tmp/thermflowd2.log"; exit 1; }
 	sleep 0.2
 done
 got429=""
 for _ in 1 2 3 4 5; do
-	hdr="$(curl -s -D - -o /dev/null "$base2/v1/kernels")"
+	hdr="$(curl -s -D - -o /dev/null "$base2/v2/kernels")"
 	if printf '%s' "$hdr" | grep -q "^HTTP/.* 429"; then
 		printf '%s' "$hdr" | grep -qi '^Retry-After:' ||
 			{ echo "smoke: 429 without Retry-After"; exit 1; }
@@ -101,6 +104,6 @@ for _ in 1 2 3 4 5; do
 	fi
 done
 [ "$got429" = "yes" ] || { echo "smoke: burst never hit the rate limit"; exit 1; }
-echo "smoke: rate limit -> 429 with Retry-After"
+echo "smoke: default-profile quota -> 429 with Retry-After"
 
-echo "smoke: OK (v2 lifecycle, auth, rate limit)"
+echo "smoke: OK (job lifecycle, auth, quota)"

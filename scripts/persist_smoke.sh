@@ -38,7 +38,7 @@ start_server_nr() { # restart without resetting the cache
 	"$tmp/thermflowd" -addr "127.0.0.1:$port" -cache-dir "$cache" >>"$tmp/thermflowd.log" 2>&1 &
 	spid=$!
 	i=0
-	until curl -sf "$base/v1/kernels" >/dev/null 2>&1; do
+	until curl -sf "$base/v2/stats" >/dev/null 2>&1; do
 		i=$((i + 1))
 		[ "$i" -ge 50 ] && { echo "thermflowd did not come back"; cat "$tmp/thermflowd.log"; exit 1; }
 		sleep 0.2

@@ -88,7 +88,7 @@ until curl -s -H 'Authorization: Bearer tok-high' "$gw/gateway/backends" 2>/dev/
 done
 echo "quota_smoke: gateway up, 2 backends on the ring"
 
-"$tmp/thermload" -target "$gw" -api v2 -unique \
+"$tmp/thermload" -target "$gw" -unique \
 	-tenants "high:tok-high:10:1,low:tok-low:0:2" \
 	-stages "$stages" -stage-duration "${stage_secs}s" -timeout 20s \
 	-out "$tmp/quota_load.json" \

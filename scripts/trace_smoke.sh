@@ -92,7 +92,7 @@ nbackends="$(sed -n 's/.*"backend": *"\([^"]*\)".*/\1/p' "$tmp/trace.json" | sor
 echo "smoke: one timeline, region.solve spans from $nbackends backends under trace $tid"
 
 # --- 3. thermload reports slowest-request traces that resolve --------
-"$tmp/thermload" -target "$gw" -api v2 -unique \
+"$tmp/thermload" -target "$gw" -unique \
 	-stages 20 -stage-duration 2s -kernels dot,saxpy \
 	-out "$tmp/load.json" -check >"$tmp/load.log" 2>&1 ||
 	{ echo "smoke: thermload run failed:"; cat "$tmp/load.log"; exit 1; }
