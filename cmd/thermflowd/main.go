@@ -79,183 +79,6 @@
 // types; thermflow/client is the Go client.
 package main
 
-import (
-	"context"
-	"errors"
-	"flag"
-	"log"
-	"net/http"
-	"os/signal"
-	"path/filepath"
-	"syscall"
-	"time"
+import "thermflow/internal/daemon"
 
-	"thermflow"
-	"thermflow/internal/joblog"
-	"thermflow/internal/jobs"
-	"thermflow/internal/server"
-	"thermflow/internal/tenant"
-	"thermflow/internal/trace"
-)
-
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "compile worker-pool size (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache-dir", "", "directory for the persistent result-cache tier (empty = memory only)")
-	cacheMemBytes := flag.Int64("cache-max-bytes", 0, "memory cache tier byte cap (0 = 256 MiB)")
-	cacheDiskBytes := flag.Int64("cache-disk-max-bytes", 0, "disk cache tier byte cap (0 = 1 GiB)")
-	errTTL := flag.Duration("cache-err-ttl", 0, "how long compile failures are served from cache before retry (0 = 30s)")
-	authTokenFile := flag.String("auth-token-file", "", "bearer-token file, one token per line (empty = no auth)")
-	quotaFile := flag.String("quota-file", "", "tenant quota-profile file (JSON; empty = no quotas, SIGHUP reloads)")
-	trustTenant := flag.Bool("trust-tenant-header", false, "honor the X-Thermflow-Tenant header stamped by a trusted gateway")
-	jobTTL := flag.Duration("job-ttl", 0, "how long finished v2 jobs stay pollable (0 = 15m)")
-	jobMax := flag.Int("job-max", 0, "max v2 jobs retained, live + finished (0 = 4096)")
-	jobMaxQueue := flag.Int("job-max-queue", 0, "max v2 jobs waiting in the queue; admission control sheds above the watermark (0 = unbounded)")
-	jobWatermark := flag.Int("job-queue-watermark", 0, "queue depth where admission turns selective (0 = 3/4 of -job-max-queue)")
-	jobAgeStep := flag.Int("job-age-step", 0, "priority points a queued job gains per -job-age-period waited (0 = aging off)")
-	jobAgePeriod := flag.Duration("job-age-period", 0, "queue wait that earns one -job-age-step (0 = 30s)")
-	jobLogDir := flag.String("job-log-dir", "", "directory for the durable job write-ahead log (empty = jobs vanish on restart)")
-	jobSnapshotEvery := flag.Int("job-snapshot-every", 0, "WAL records between snapshot-and-truncate compactions (0 = 512)")
-	reqTimeout := flag.Duration("request-timeout", 0, "per-request deadline, streams included (0 = none)")
-	debugAddr := flag.String("debug-addr", "", "pprof+metrics debug listener; loopback only, never public (empty = off)")
-	flag.Parse()
-
-	b, err := thermflow.NewBatchConfig(thermflow.BatchConfig{
-		Workers:        *workers,
-		CacheMemBytes:  *cacheMemBytes,
-		CacheDir:       *cacheDir,
-		CacheDiskBytes: *cacheDiskBytes,
-		ErrTTL:         *errTTL,
-	})
-	if err != nil {
-		log.Fatalf("thermflowd: %v", err)
-	}
-	if *cacheDir != "" {
-		st := b.Stats()
-		log.Printf("thermflowd: disk cache at %s (%d entries, %d bytes warm)",
-			*cacheDir, st.Disk.Entries, st.Disk.Bytes)
-	}
-
-	jobsCfg := jobs.Config{
-		TTL: *jobTTL, MaxJobs: *jobMax, SnapshotEvery: *jobSnapshotEvery,
-		MaxQueue: *jobMaxQueue, QueueWatermark: *jobWatermark,
-		AgeStep: *jobAgeStep, AgePeriod: *jobAgePeriod,
-	}
-	var replicas *server.ReplicaStore
-	if *jobLogDir != "" {
-		jl, jrec, err := joblog.Open(filepath.Join(*jobLogDir, "jobs"), joblog.Options{})
-		if err != nil {
-			log.Fatalf("thermflowd: job log: %v", err)
-		}
-		defer jl.Close()
-		jobsCfg.Log, jobsCfg.Recovery = jl, &jrec
-
-		rl, rrec, err := joblog.Open(filepath.Join(*jobLogDir, "replicas"), joblog.Options{})
-		if err != nil {
-			log.Fatalf("thermflowd: replica log: %v", err)
-		}
-		defer rl.Close()
-		replicas = server.NewReplicaStore(0, rl, &rrec)
-		log.Printf("thermflowd: durable job log at %s (%d records replayed)",
-			*jobLogDir, len(jrec.Records))
-	}
-
-	metrics := server.NewMetrics()
-	tr := trace.NewRecorder("thermflowd", 0, 0)
-	s := server.NewConfig(b, server.Config{
-		Jobs: jobsCfg, Replicas: replicas, Metrics: metrics, Trace: tr,
-	})
-	defer s.Close()
-
-	// The middleware chain, outermost first: identity, tracing, logging
-	// and metrics see everything (including rejections), auth runs
-	// before quotas so bucket keys are authenticated tenants, and
-	// the body and deadline caps guard the handlers. Tracing shares the
-	// server's recorder so request spans land in job timelines.
-	mw := []server.Middleware{
-		server.WithRequestID(),
-		server.WithTracing(tr),
-		server.WithAccessLog(nil),
-		server.WithMetrics(metrics),
-		server.WithBodyLimit(server.MaxBodyBytes),
-	}
-	var reloaders []server.Reloader
-	var tokens *server.TokenSource
-	if *authTokenFile != "" {
-		tokens, err = server.OpenTokenSource(*authTokenFile)
-		if err != nil {
-			log.Fatalf("thermflowd: %v", err)
-		}
-		mw = append(mw, server.WithAuth(tokens))
-		reloaders = append(reloaders, tokens)
-		log.Printf("thermflowd: bearer-token auth enabled (%s, SIGHUP reloads)", *authTokenFile)
-	}
-	if *quotaFile != "" {
-		quotas, err := tenant.Open(*quotaFile)
-		if err != nil {
-			log.Fatalf("thermflowd: %v", err)
-		}
-		reloaders = append(reloaders, quotas)
-		log.Printf("thermflowd: tenant quotas from %s (%d tenants, SIGHUP reloads)",
-			*quotaFile, len(quotas.Quotas().Names()))
-		// Token-keyed buckets only behind auth: every token the
-		// limiter then sees is validated. Without auth, buckets key by
-		// peer host — an unvalidated token would be a free bypass.
-		mw = append(mw, server.WithQuotas(server.QuotaConfig{
-			Quotas:      quotas,
-			ByToken:     *authTokenFile != "",
-			TrustHeader: *trustTenant,
-			Metrics:     metrics,
-			Tokens:      tokens,
-		}))
-	}
-	if len(reloaders) > 0 {
-		server.ReloadOnSIGHUP("thermflowd", reloaders...)
-	}
-	if *reqTimeout > 0 {
-		mw = append(mw, server.WithTimeout(*reqTimeout))
-	}
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           server.Chain(s, mw...),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	if *debugAddr != "" {
-		dbg := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           server.DebugHandler(metrics),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("thermflowd: debug listener: %v", err)
-			}
-		}()
-		log.Printf("thermflowd: debug listener (pprof+metrics) on %s — keep it loopback-only", *debugAddr)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(),
-		syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("thermflowd: listening on %s (%d workers)", *addr, b.Workers())
-
-	select {
-	case err := <-errc:
-		log.Fatalf("thermflowd: %v", err)
-	case <-ctx.Done():
-	}
-
-	// Graceful drain: in-flight compiles finish, new connections are
-	// refused. Streaming batch requests are bounded by the deadline.
-	log.Printf("thermflowd: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("thermflowd: shutdown: %v", err)
-	}
-}
+func main() { daemon.Main("thermflowd", daemon.Backend) }

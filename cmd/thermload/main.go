@@ -19,9 +19,7 @@
 //	          [-stage-duration 5s] [-kernels dot,saxpy,fir]
 //	          [-timeout 30s] [-auth-token TOK] [-out BENCH_LOAD.json]
 //	          [-tenants name:token[:prio[:weight]],...]
-//	          [-unique] [-check] [-baseline FILE]
-//	          [-require-clean NAMES] [-require-shed NAMES]
-//	          [-max-clean-p99-ms N]
+//	          [-unique]
 //
 // Each stage offers its rate (requests/second) for -stage-duration,
 // cycling job bodies over the kernel × policy matrix so
@@ -37,22 +35,13 @@
 // arrival weight ("high:tok-h:10:3,low:tok-l:0:1" offers 3/4 of
 // arrivals as high). The report then carries a per-tenant block per
 // stage — sent, completed, p50/p99 and error attribution — which is
-// what lets a CI gate assert that shedding lands on the right tenant.
-// -unique salts every request body so no two arrivals share a job ID —
-// genuine queue pressure rather than cache hits.
+// what shows whether shedding lands on the right tenant. -unique salts
+// every request body so no two arrivals share a job ID — genuine queue
+// pressure rather than cache hits.
 //
-// -check turns the run into a smoke gate: exit non-zero unless every
-// stage completed requests, measured a positive p99, and saw zero 5xx
-// and zero transport errors. -require-clean NAMES hardens the gate for
-// those tenants: zero 5xx, transport AND 503/shed, with p99 bounded by
-// -max-clean-p99-ms when set. -require-shed NAMES demands the named
-// tenants saw at least one 429/503 across the run — proof the pool
-// actually shed. -baseline FILE diffs the fresh report against a
-// committed one: a stage whose overall p99 regresses more than 2× past
-// the baseline (above a 25 ms floor), or that shows transport errors
-// where the baseline had none, fails the gate. CI runs a short sweep
-// against a gateway with two backends under `make smoke-load`, and the
-// two-tenant shedding gate under `make smoke-quota`.
+// thermload is an operator tool for exploring a deployment's latency
+// envelope; the regression gate on serving latency is thermbench's
+// serve-mixed workload (bench/README.md).
 package main
 
 import (
@@ -131,7 +120,7 @@ type tenantResult struct {
 
 // errs attributes failures: rate-limit rejections and capacity
 // shedding are the serving plane working as designed; 5xx and
-// transport failures are the numbers a smoke gate refuses.
+// transport failures are faults.
 type errs struct {
 	RateLimited int `json:"429"`
 	Capacity    int `json:"503"`
@@ -181,11 +170,6 @@ func main() {
 	tenantsFlag := flag.String("tenants", "", "comma-separated name:token[:priority[:weight]] tenants to interleave (empty = single anonymous client)")
 	unique := flag.Bool("unique", false, "salt every request body so no two arrivals share a job ID")
 	out := flag.String("out", "BENCH_LOAD.json", "output path for the JSON report (\"-\" = stdout)")
-	check := flag.Bool("check", false, "exit non-zero unless every stage completed work with p99 > 0 and zero 5xx/transport errors")
-	baselineFile := flag.String("baseline", "", "committed report to diff against: fail -check on >2x p99 regression or new transport errors")
-	requireClean := flag.String("require-clean", "", "comma-separated tenants that must see zero 5xx/transport/503 (with -check)")
-	requireShed := flag.String("require-shed", "", "comma-separated tenants that must see at least one 429/503 across the run (with -check)")
-	maxCleanP99 := flag.Float64("max-clean-p99-ms", 0, "p99 bound in ms for -require-clean tenants (0 = unbounded)")
 	flag.Parse()
 
 	if *target == "" {
@@ -268,24 +252,6 @@ func main() {
 		log.Printf("thermload: wrote %s", *out)
 	}
 
-	if *check {
-		gates := checkGates{
-			clean:       splitList(*requireClean),
-			shed:        splitList(*requireShed),
-			maxCleanP99: *maxCleanP99,
-		}
-		if *baselineFile != "" {
-			base, err := loadReport(*baselineFile)
-			if err != nil {
-				log.Fatalf("thermload: baseline: %v", err)
-			}
-			gates.baseline = base
-		}
-		if err := checkReport(rep, gates); err != nil {
-			log.Fatalf("thermload: check failed: %v", err)
-		}
-		log.Printf("thermload: check passed (%d stages, zero 5xx/transport)", len(rep.Stages))
-	}
 }
 
 // parseRates reads the -stages list.
@@ -680,114 +646,3 @@ func percentile(sorted []float64, p float64) float64 {
 }
 
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
-
-// loadReport reads a committed BENCH_LOAD.json for -baseline.
-func loadReport(path string) (*report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("parsing %s: %v", path, err)
-	}
-	return &rep, nil
-}
-
-// checkGates parameterizes checkReport beyond the base smoke
-// invariants.
-type checkGates struct {
-	clean       []string // tenants that must see zero 5xx/transport/503
-	shed        []string // tenants that must see >= 1 429/503 somewhere
-	maxCleanP99 float64  // p99 bound for clean tenants (0 = none)
-	baseline    *report  // committed report to diff against (nil = none)
-}
-
-// baselineP99FloorMs is the absolute p99 below which regressions never
-// fail the gate: doubling a 3 ms p99 is noise, doubling 80 ms is not.
-const baselineP99FloorMs = 25
-
-// checkReport is the -check smoke gate.
-func checkReport(rep report, gates checkGates) error {
-	if len(rep.Stages) == 0 {
-		return fmt.Errorf("no stages ran")
-	}
-	for _, st := range rep.Stages {
-		if st.Completed == 0 {
-			return fmt.Errorf("stage %.4g req/s completed no requests", st.OfferedRPS)
-		}
-		if st.P99Ms <= 0 {
-			return fmt.Errorf("stage %.4g req/s has non-positive p99 (%.3g ms)", st.OfferedRPS, st.P99Ms)
-		}
-		if st.Errors.Server5xx > 0 || st.Errors.Transport > 0 {
-			return fmt.Errorf("stage %.4g req/s saw %d 5xx and %d transport errors",
-				st.OfferedRPS, st.Errors.Server5xx, st.Errors.Transport)
-		}
-		for _, name := range gates.clean {
-			tr := st.Tenants[name]
-			if tr == nil {
-				return fmt.Errorf("stage %.4g req/s has no block for clean tenant %q", st.OfferedRPS, name)
-			}
-			if tr.Errors.Server5xx > 0 || tr.Errors.Transport > 0 || tr.Errors.Capacity > 0 {
-				return fmt.Errorf("clean tenant %q was not served cleanly at %.4g req/s: 5xx=%d transport=%d 503=%d",
-					name, st.OfferedRPS, tr.Errors.Server5xx, tr.Errors.Transport, tr.Errors.Capacity)
-			}
-			if tr.Completed == 0 {
-				return fmt.Errorf("clean tenant %q completed nothing at %.4g req/s", name, st.OfferedRPS)
-			}
-			if gates.maxCleanP99 > 0 && tr.P99Ms > gates.maxCleanP99 {
-				return fmt.Errorf("clean tenant %q p99 %.3g ms exceeds bound %.3g ms at %.4g req/s",
-					name, tr.P99Ms, gates.maxCleanP99, st.OfferedRPS)
-			}
-		}
-	}
-	for _, name := range gates.shed {
-		total := 0
-		for _, st := range rep.Stages {
-			if tr := st.Tenants[name]; tr != nil {
-				total += tr.Errors.RateLimited + tr.Errors.Capacity
-			}
-		}
-		if total == 0 {
-			return fmt.Errorf("tenant %q was never shed (zero 429/503) — the pool did not push back", name)
-		}
-	}
-	if gates.baseline != nil {
-		if err := diffBaseline(rep, *gates.baseline); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// diffBaseline compares a fresh report against a committed one,
-// stage-by-stage where offered rates line up: >2x p99 regressions past
-// the absolute floor fail, as do transport errors the baseline did not
-// have. Stages without a matching baseline rate are skipped — the gate
-// judges drift, not configuration changes.
-func diffBaseline(rep, base report) error {
-	byRate := make(map[float64]stageResult, len(base.Stages))
-	for _, st := range base.Stages {
-		byRate[st.OfferedRPS] = st
-	}
-	matched := 0
-	for _, st := range rep.Stages {
-		bst, ok := byRate[st.OfferedRPS]
-		if !ok {
-			continue
-		}
-		matched++
-		if bst.P99Ms > 0 && st.P99Ms > baselineP99FloorMs && st.P99Ms > 2*bst.P99Ms {
-			return fmt.Errorf("stage %.4g req/s p99 regressed %.3g ms -> %.3g ms (>2x baseline)",
-				st.OfferedRPS, bst.P99Ms, st.P99Ms)
-		}
-		if st.Errors.Transport > 0 && bst.Errors.Transport == 0 {
-			return fmt.Errorf("stage %.4g req/s has %d transport errors; baseline had none",
-				st.OfferedRPS, st.Errors.Transport)
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("baseline has no stage rates in common with this run")
-	}
-	return nil
-}

@@ -65,110 +65,6 @@ func TestBuildPickerInterleavesWeights(t *testing.T) {
 	}
 }
 
-func okStage(rate float64) stageResult {
-	return stageResult{OfferedRPS: rate, Sent: 10, Completed: 10, P50Ms: 2, P99Ms: 5}
-}
-
-func TestCheckReportBaseInvariants(t *testing.T) {
-	rep := report{Stages: []stageResult{okStage(25)}}
-	if err := checkReport(rep, checkGates{}); err != nil {
-		t.Fatalf("clean report failed: %v", err)
-	}
-
-	if err := checkReport(report{}, checkGates{}); err == nil {
-		t.Error("empty report passed")
-	}
-	bad := rep
-	bad.Stages = []stageResult{{OfferedRPS: 25, Sent: 10}}
-	if err := checkReport(bad, checkGates{}); err == nil {
-		t.Error("zero-completed stage passed")
-	}
-	bad.Stages = []stageResult{{OfferedRPS: 25, Sent: 10, Completed: 10, P99Ms: 4, Errors: errs{Server5xx: 1}}}
-	if err := checkReport(bad, checkGates{}); err == nil {
-		t.Error("5xx stage passed")
-	}
-	bad.Stages = []stageResult{{OfferedRPS: 25, Sent: 10, Completed: 10, P99Ms: 4, Errors: errs{Transport: 2}}}
-	if err := checkReport(bad, checkGates{}); err == nil {
-		t.Error("transport-error stage passed")
-	}
-}
-
-func TestCheckReportTenantGates(t *testing.T) {
-	st := okStage(50)
-	st.Tenants = map[string]*tenantResult{
-		"high": {Sent: 8, Completed: 8, P99Ms: 12},
-		"low":  {Sent: 8, Completed: 2, P99Ms: 30, Errors: errs{RateLimited: 4, Capacity: 2}},
-	}
-	rep := report{Stages: []stageResult{st}}
-
-	gates := checkGates{clean: []string{"high"}, shed: []string{"low"}, maxCleanP99: 50}
-	if err := checkReport(rep, gates); err != nil {
-		t.Fatalf("two-tenant shed report failed: %v", err)
-	}
-
-	// Clean tenant hit capacity: must fail.
-	st.Tenants["high"].Errors.Capacity = 1
-	if err := checkReport(rep, gates); err == nil || !strings.Contains(err.Error(), "high") {
-		t.Errorf("503 on clean tenant passed gate: %v", err)
-	}
-	st.Tenants["high"].Errors.Capacity = 0
-
-	// Clean tenant over the p99 bound: must fail.
-	gates.maxCleanP99 = 10
-	if err := checkReport(rep, gates); err == nil || !strings.Contains(err.Error(), "p99") {
-		t.Errorf("p99 over bound passed gate: %v", err)
-	}
-	gates.maxCleanP99 = 50
-
-	// Shed tenant that was never pushed back: must fail.
-	st.Tenants["low"].Errors = errs{}
-	if err := checkReport(rep, gates); err == nil || !strings.Contains(err.Error(), "never shed") {
-		t.Errorf("unshed tenant passed -require-shed: %v", err)
-	}
-	st.Tenants["low"].Errors = errs{RateLimited: 4, Capacity: 2}
-
-	// A clean tenant missing from a stage is a config error, not a pass.
-	gates.clean = []string{"ghost"}
-	if err := checkReport(rep, gates); err == nil {
-		t.Error("missing clean tenant passed gate")
-	}
-}
-
-func TestDiffBaseline(t *testing.T) {
-	base := report{Stages: []stageResult{okStage(25), okStage(50)}}
-	fresh := report{Stages: []stageResult{okStage(25), okStage(50)}}
-	if err := diffBaseline(fresh, base); err != nil {
-		t.Fatalf("identical reports failed: %v", err)
-	}
-
-	// >2x p99 regression past the floor fails.
-	reg := fresh
-	reg.Stages = []stageResult{okStage(25), {OfferedRPS: 50, Sent: 10, Completed: 10, P99Ms: 2 * baselineP99FloorMs}}
-	base2 := report{Stages: []stageResult{okStage(25), {OfferedRPS: 50, Sent: 10, Completed: 10, P99Ms: baselineP99FloorMs / 2}}}
-	if err := diffBaseline(reg, base2); err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Errorf("2x regression passed: %v", err)
-	}
-
-	// The same ratio below the absolute floor is noise, not a failure.
-	small := report{Stages: []stageResult{{OfferedRPS: 25, Sent: 10, Completed: 10, P99Ms: 8}}}
-	smallBase := report{Stages: []stageResult{{OfferedRPS: 25, Sent: 10, Completed: 10, P99Ms: 2}}}
-	if err := diffBaseline(small, smallBase); err != nil {
-		t.Errorf("sub-floor regression failed the gate: %v", err)
-	}
-
-	// New transport errors fail even with a fine p99.
-	tr := report{Stages: []stageResult{{OfferedRPS: 25, Sent: 10, Completed: 9, P99Ms: 3, Errors: errs{Transport: 1}}}}
-	if err := diffBaseline(tr, base); err == nil || !strings.Contains(err.Error(), "transport") {
-		t.Errorf("new transport errors passed: %v", err)
-	}
-
-	// Disjoint stage rates: the gate must refuse, not silently pass.
-	other := report{Stages: []stageResult{okStage(999)}}
-	if err := diffBaseline(other, base); err == nil {
-		t.Error("disjoint baseline passed")
-	}
-}
-
 func TestBodySaltsUniqueRequests(t *testing.T) {
 	cfg := loadConfig{
 		unique:  true,

@@ -1,15 +1,13 @@
-// Package e2etest is an in-process cluster harness: N thermflowd-
-// equivalent backends behind one thermflowgate-equivalent gateway,
-// each assembled from the same pieces cmd/thermflowd and
-// cmd/thermflowgate wire — the full middleware chain, a /metrics
-// registry, durable job/replica write-ahead logs and a two-tier cache
-// under per-test temp directories — listening on real ephemeral TCP
-// ports. It exists so the shell smoke tests' cluster assertions
-// (scripts/gateway_smoke.sh, scripts/durability_smoke.sh) can run as
-// ordinary race-clean `go test` cases: backends can be killed
-// (connections slammed, like SIGKILL) and restarted on the same
+// Package e2etest is an in-process cluster harness: N thermflowd
+// backends behind one thermflowgate, each assembled by internal/daemon
+// from flag arguments exactly as the binaries assemble themselves — so
+// every cluster test also tests the flag-to-config mapping and the
+// middleware chain — with durable job/replica write-ahead logs, a
+// two-tier cache and the gateway's state log under per-test temp
+// directories, listening on real ephemeral TCP ports. Backends can be
+// killed (connections slammed, like SIGKILL) and restarted on the same
 // address and directories, and the gateway can be restarted on its
-// durable state dir.
+// durable state dir. The tests run race-clean under plain `go test`.
 package e2etest
 
 import (
@@ -17,23 +15,16 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"log/slog"
-	"net"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
-	"thermflow/internal/gateway"
-	"thermflow/internal/joblog"
-	"thermflow/internal/jobs"
-	"thermflow/internal/server"
-	"thermflow/internal/tenant"
-	"thermflow/internal/trace"
+	"thermflow/internal/daemon"
 )
 
 // Options parameterizes NewCluster. The zero value is a two-backend
@@ -41,30 +32,20 @@ import (
 type Options struct {
 	// Backends is the pool size (0 = 2).
 	Backends int
-	// Workers is each backend's compile pool size (0 = 2).
-	Workers int
-	// Replicas is the gateway's terminal-status replication factor
-	// (0 = the gateway default, negative disables).
-	Replicas int
-	// HealthInterval is the gateway probe cadence (0 = 100ms — fast,
-	// so kill tests converge quickly).
-	HealthInterval time.Duration
-	// EjectAfter is consecutive probe failures before ejection
-	// (0 = 2).
-	EjectAfter int
-	// Quotas is a tenant quota document (the -quota-file JSON). When
-	// set, the gateway resolves bearer tokens to profiles at the edge
-	// and stamps the tenant header, and every backend trusts that
-	// header against the same table — the cmd wiring in miniature.
-	Quotas string
-	// MaxQueue and QueueWatermark bound each backend's v2 job queue
-	// (0 = unbounded / no admission control).
-	MaxQueue       int
-	QueueWatermark int
+	// BackendArgs are extra thermflowd flags for every backend, parsed
+	// after the harness's own (-addr, -workers 2, -cache-dir,
+	// -job-log-dir, -job-snapshot-every 32), so a repeated flag
+	// overrides the harness value.
+	BackendArgs []string
+	// GatewayArgs are extra thermflowgate flags, parsed after the
+	// harness's own (-addr, -backends, -state-dir, -health-interval
+	// 100ms so kill tests converge quickly, -health-timeout 2s,
+	// -eject-after 2).
+	GatewayArgs []string
 }
 
-// Backend is one pool member: a full thermflowd stack over temp
-// cache and WAL directories on a fixed ephemeral address.
+// Backend is one pool member: a thermflowd over temp cache and WAL
+// directories on a fixed ephemeral address.
 type Backend struct {
 	URL string
 	Dir string
@@ -72,18 +53,12 @@ type Backend struct {
 	c    *Cluster
 	addr string
 
-	mu      sync.Mutex
-	alive   bool
-	batch   *thermflow.Batch
-	srv     *server.Server
-	metrics *server.Metrics
-	httpSrv *http.Server
-	logs    []*joblog.Log
+	mu sync.Mutex
+	d  *daemon.Daemon // nil while killed
 }
 
 // Cluster is the running pool plus its gateway.
 type Cluster struct {
-	tb       testing.TB
 	opts     Options
 	Backends []*Backend
 
@@ -91,19 +66,13 @@ type Cluster struct {
 	stateDir   string
 	gwAddr     string
 
-	gwMu      sync.Mutex
-	gw        *gateway.Gateway
-	gwHTTP    *http.Server
-	gwLog     *joblog.Log
-	gwMetrics *server.Metrics
+	gwMu sync.Mutex
+	gw   *daemon.Daemon
 }
 
-// quiet drops the harness's gateway logs; the tests assert on state,
-// not log text.
+// quiet drops the daemons' logs; the tests assert on state, not log
+// text.
 func quiet() *log.Logger { return log.New(io.Discard, "", 0) }
-
-// quietSlog drops the harness's structured access logs.
-func quietSlog() *slog.Logger { return slog.New(slog.NewJSONHandler(io.Discard, nil)) }
 
 // NewCluster starts the pool and gateway and registers cleanup.
 func NewCluster(tb testing.TB, opts Options) *Cluster {
@@ -111,16 +80,7 @@ func NewCluster(tb testing.TB, opts Options) *Cluster {
 	if opts.Backends == 0 {
 		opts.Backends = 2
 	}
-	if opts.Workers == 0 {
-		opts.Workers = 2
-	}
-	if opts.HealthInterval == 0 {
-		opts.HealthInterval = 100 * time.Millisecond
-	}
-	if opts.EjectAfter == 0 {
-		opts.EjectAfter = 2
-	}
-	c := &Cluster{tb: tb, opts: opts, stateDir: tb.TempDir()}
+	c := &Cluster{opts: opts, stateDir: tb.TempDir()}
 	for i := 0; i < opts.Backends; i++ {
 		b := &Backend{c: c, Dir: tb.TempDir()}
 		if err := b.start(); err != nil {
@@ -135,120 +95,58 @@ func NewCluster(tb testing.TB, opts Options) *Cluster {
 	return c
 }
 
+// orEphemeral is addr, or an ephemeral loopback port before the first
+// start.
+func orEphemeral(addr string) string {
+	if addr == "" {
+		return "127.0.0.1:0"
+	}
+	return addr
+}
+
 // start assembles and serves one backend on b.addr (an ephemeral port
 // on first start, the same address on restart, so the gateway's pool
 // view stays valid across a kill).
 func (b *Backend) start() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.alive {
+	if b.d != nil {
 		return fmt.Errorf("backend already running")
 	}
-
-	batch, err := thermflow.NewBatchConfig(thermflow.BatchConfig{
-		Workers:  b.c.opts.Workers,
-		CacheDir: filepath.Join(b.Dir, "cache"),
-	})
+	args := append([]string{
+		"-addr", orEphemeral(b.addr),
+		"-workers", "2",
+		"-cache-dir", filepath.Join(b.Dir, "cache"),
+		"-job-log-dir", filepath.Join(b.Dir, "joblog"),
+		"-job-snapshot-every", "32",
+	}, b.c.opts.BackendArgs...)
+	d, err := daemon.Backend(args, quiet())
 	if err != nil {
 		return err
 	}
-
-	jobsCfg := jobs.Config{
-		SnapshotEvery:  32,
-		MaxQueue:       b.c.opts.MaxQueue,
-		QueueWatermark: b.c.opts.QueueWatermark,
-	}
-	jl, jrec, err := joblog.Open(filepath.Join(b.Dir, "joblog", "jobs"), joblog.Options{})
-	if err != nil {
-		return err
-	}
-	jobsCfg.Log, jobsCfg.Recovery = jl, &jrec
-	rl, rrec, err := joblog.Open(filepath.Join(b.Dir, "joblog", "replicas"), joblog.Options{})
-	if err != nil {
-		jl.Close()
-		return err
-	}
-
-	metrics := server.NewMetrics()
-	tr := trace.NewRecorder("thermflowd", 0, 0)
-	srv := server.NewConfig(batch, server.Config{
-		Jobs:     jobsCfg,
-		Replicas: server.NewReplicaStore(0, rl, &rrec),
-		Metrics:  metrics,
-		Trace:    tr,
-	})
-
-	addr := b.addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		srv.Close()
-		jl.Close()
-		rl.Close()
-		return err
-	}
-	b.addr = lis.Addr().String()
+	b.addr = d.Addr()
 	b.URL = "http://" + b.addr
-
-	mw := []server.Middleware{
-		server.WithRequestID(),
-		server.WithTracing(tr),
-		server.WithAccessLog(quietSlog()),
-		server.WithMetrics(metrics),
-		server.WithBodyLimit(server.MaxBodyBytes),
-	}
-	if b.c.opts.Quotas != "" {
-		q, err := tenant.Parse([]byte(b.c.opts.Quotas))
-		if err != nil {
-			_ = lis.Close()
-			srv.Close()
-			jl.Close()
-			rl.Close()
-			return err
-		}
-		mw = append(mw, server.WithQuotas(server.QuotaConfig{
-			Quotas: q, TrustHeader: true, Metrics: metrics,
-		}))
-	}
-	httpSrv := &http.Server{Handler: server.Chain(srv, mw...)}
-	go func() { _ = httpSrv.Serve(lis) }()
-
-	b.batch, b.srv, b.metrics, b.httpSrv = batch, srv, metrics, httpSrv
-	b.logs = []*joblog.Log{jl, rl}
-	b.alive = true
+	go func() { _ = d.Serve() }()
+	b.d = d
 	return nil
 }
 
 // Kill slams the backend: the listener and every open connection are
-// closed immediately (http.Server.Close, the in-process analog of
-// SIGKILL mid-request), then the job registry and WALs shut so a
-// Restart can reopen the same directories.
+// closed immediately (the in-process analog of SIGKILL mid-request),
+// then the job registry and WALs shut so a Restart can reopen the same
+// directories.
 func (b *Backend) Kill() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.alive {
-		return
-	}
-	b.alive = false
-	_ = b.httpSrv.Close()
-	b.srv.Close()
-	for _, l := range b.logs {
-		_ = l.Close()
+	if b.d != nil {
+		b.d.Close()
+		b.d = nil
 	}
 }
 
 // Restart brings a killed backend back on the same address over the
 // same cache and WAL directories, replaying whatever they hold.
 func (b *Backend) Restart() error { return b.start() }
-
-// Alive reports whether the backend is serving.
-func (b *Backend) Alive() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.alive
-}
 
 // Client is a v2 API client pointed directly at this backend.
 func (b *Backend) Client() *client.Client { return client.New(b.URL, nil) }
@@ -259,70 +157,26 @@ func (b *Backend) Client() *client.Client { return client.New(b.URL, nil) }
 func (c *Cluster) startGateway() error {
 	c.gwMu.Lock()
 	defer c.gwMu.Unlock()
-
-	sl, srec, err := joblog.Open(c.stateDir, joblog.Options{})
-	if err != nil {
-		return err
-	}
-	metrics := server.NewMetrics()
-	tr := trace.NewRecorder("thermflowgate", 0, 0)
 	var pool []string
 	for _, b := range c.Backends {
 		pool = append(pool, b.URL)
 	}
-	gw, err := gateway.New(gateway.Config{
-		Backends:       pool,
-		HealthInterval: c.opts.HealthInterval,
-		HealthTimeout:  2 * time.Second,
-		EjectAfter:     c.opts.EjectAfter,
-		Replicas:       c.opts.Replicas,
-		Logger:         quiet(),
-		Log:            sl,
-		Recovery:       &srec,
-		Metrics:        metrics,
-		Trace:          tr,
-	})
+	args := append([]string{
+		"-addr", orEphemeral(c.gwAddr),
+		"-backends", strings.Join(pool, ","),
+		"-state-dir", c.stateDir,
+		"-health-interval", "100ms",
+		"-health-timeout", "2s",
+		"-eject-after", "2",
+	}, c.opts.GatewayArgs...)
+	d, err := daemon.Gateway(args, quiet())
 	if err != nil {
-		sl.Close()
 		return err
 	}
-
-	addr := c.gwAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		gw.Close()
-		sl.Close()
-		return err
-	}
-	c.gwAddr = lis.Addr().String()
+	c.gwAddr = d.Addr()
 	c.GatewayURL = "http://" + c.gwAddr
-
-	mw := []server.Middleware{
-		server.WithRequestID(),
-		server.WithTracing(tr),
-		server.WithAccessLog(quietSlog()),
-		server.WithMetrics(metrics),
-		server.WithBodyLimit(server.MaxBodyBytes),
-	}
-	if c.opts.Quotas != "" {
-		q, err := tenant.Parse([]byte(c.opts.Quotas))
-		if err != nil {
-			_ = lis.Close()
-			gw.Close()
-			sl.Close()
-			return err
-		}
-		mw = append(mw, server.WithQuotas(server.QuotaConfig{
-			Quotas: q, Metrics: metrics,
-		}))
-	}
-	httpSrv := &http.Server{Handler: server.Chain(gw, mw...)}
-	go func() { _ = httpSrv.Serve(lis) }()
-
-	c.gw, c.gwHTTP, c.gwLog, c.gwMetrics = gw, httpSrv, sl, metrics
+	go func() { _ = d.Serve() }()
+	c.gw = d
 	return nil
 }
 
@@ -330,18 +184,14 @@ func (c *Cluster) startGateway() error {
 func (c *Cluster) stopGateway() {
 	c.gwMu.Lock()
 	defer c.gwMu.Unlock()
-	if c.gwHTTP == nil {
-		return
+	if c.gw != nil {
+		c.gw.Close()
+		c.gw = nil
 	}
-	_ = c.gwHTTP.Close()
-	c.gw.Close()
-	_ = c.gwLog.Close()
-	c.gwHTTP, c.gw, c.gwLog = nil, nil, nil
 }
 
 // RestartGateway bounces the gateway on the same address and durable
-// state directory — the in-process port of gateway_smoke.sh's
-// drain-survives-restart scenario.
+// state directory.
 func (c *Cluster) RestartGateway() error {
 	c.stopGateway()
 	return c.startGateway()

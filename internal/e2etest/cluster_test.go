@@ -16,9 +16,8 @@ import (
 	"thermflow/client"
 )
 
-// sweep99 is the 99-job experiment matrix the shell smoke tests
-// submit: every kernel at register-file sizes 56..64, each a distinct
-// content identity.
+// sweep99 is the 99-job experiment matrix: every kernel at
+// register-file sizes 56..64, each a distinct content identity.
 func sweep99() []api.JobRequest {
 	kernels := []string{"dot", "saxpy", "fir", "matmul", "bubblesort", "histogram",
 		"checksum", "scaledsum", "transpose", "prefixsum", "fib"}
@@ -64,10 +63,10 @@ func metricValue(exposition, name string) float64 {
 	return -1
 }
 
-// The gateway_smoke.sh sweep: 99 jobs through the gateway's batch
-// fan-out answer exactly once each with 99 distinct IDs and no
-// errors, both backends compile a share, and the observability plane
-// has series for all of it.
+// The 99-job sweep: 99 jobs through the gateway's batch fan-out
+// answer exactly once each with 99 distinct IDs and no errors, both
+// backends compile a share, and the observability plane has series
+// for all of it.
 func TestClusterSweep99(t *testing.T) {
 	c := NewCluster(t, Options{})
 	c.WaitRing(t, 2)
@@ -138,10 +137,9 @@ func TestClusterSweep99(t *testing.T) {
 	}
 }
 
-// gateway_smoke.sh's kill-mid-batch scenario: a backend dies while
-// its shard is streaming; the gateway re-dispatches the unanswered
-// jobs to the survivor and every index is still answered exactly
-// once. The gateway's /metrics stays scrapeable throughout and
+// Kill mid-batch: a backend dies while its shard is streaming; the
+// gateway re-dispatches the unanswered jobs to the survivor and every
+// index is still answered exactly once. The gateway's /metrics stays scrapeable throughout and
 // records the ejection and failover.
 func TestClusterKillOwnerMidBatchFailover(t *testing.T) {
 	c := NewCluster(t, Options{})
@@ -215,9 +213,9 @@ func TestClusterKillOwnerMidBatchFailover(t *testing.T) {
 	}
 }
 
-// gateway_smoke.sh's drain persistence scenario: an administrative
-// drain recorded in the gateway's state WAL survives a gateway
-// restart; undraining restores the member and also persists.
+// Drain persistence: an administrative drain recorded in the
+// gateway's state WAL survives a gateway restart; undraining restores
+// the member and also persists.
 func TestClusterDrainSurvivesGatewayRestart(t *testing.T) {
 	c := NewCluster(t, Options{})
 	c.WaitRing(t, 2)
@@ -264,9 +262,9 @@ func TestClusterDrainSurvivesGatewayRestart(t *testing.T) {
 	c.WaitRing(t, 2)
 }
 
-// durability_smoke.sh's core: a backend SIGKILLed after finishing
-// work comes back on the same WAL and cache directories with every
-// pre-crash job ID resolving to the identical terminal result.
+// WAL replay: a backend SIGKILLed after finishing work comes back on
+// the same WAL and cache directories with every pre-crash job ID
+// resolving to the identical terminal result.
 func TestClusterBackendWALReplayAcrossKill(t *testing.T) {
 	c := NewCluster(t, Options{Backends: 1})
 	c.WaitRing(t, 1)
@@ -315,8 +313,7 @@ func TestClusterBackendWALReplayAcrossKill(t *testing.T) {
 // the tenant header, and the backend's admission control answers 429
 // when the batch tenant exceeds its own queue cap but 503 when the
 // pool itself is saturated with higher-class work — with the displaced
-// job failing attributably and the counters moving on /metrics. The
-// in-process port of scripts/quota_smoke.sh's determinstic half.
+// job failing attributably and the counters moving on /metrics.
 func TestClusterQuotaShedding(t *testing.T) {
 	const quotas = `{
 	  "tenants": [
@@ -324,10 +321,13 @@ func TestClusterQuotaShedding(t *testing.T) {
 	    {"name": "bulk", "class": "batch", "tokens": ["tok-bulk"], "max_queue": 1}
 	  ]
 	}`
+	quotaFile := writeFile(t, "quotas.json", quotas)
 	c := NewCluster(t, Options{
-		Backends: 1, Workers: 1,
-		Quotas:   quotas,
-		MaxQueue: 2, QueueWatermark: 1,
+		Backends: 1,
+		BackendArgs: []string{"-workers", "1",
+			"-quota-file", quotaFile, "-trust-tenant-header",
+			"-job-max-queue", "2", "-job-queue-watermark", "1"},
+		GatewayArgs: []string{"-quota-file", quotaFile},
 	})
 	c.WaitRing(t, 1)
 

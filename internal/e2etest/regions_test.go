@@ -43,7 +43,7 @@ func postJSON(t *testing.T, url string, v, out any) int {
 // backend and (b) a local dense reference. δ = 0, so exact mode's
 // guarantee is equality, not approximation.
 func TestRegionJobGatewayFanOut(t *testing.T) {
-	c := NewCluster(t, Options{Backends: 2, Workers: 2})
+	c := NewCluster(t, Options{Backends: 2})
 	c.WaitRing(t, 2)
 
 	prog := thermflow.GenerateMega(thermflow.MegaOptions{
@@ -124,7 +124,7 @@ func TestRegionJobGatewayFanOut(t *testing.T) {
 // boundary slack budget: fewer exchange rounds are allowed to move the
 // answer, but only within the documented (δ+σ) envelope.
 func TestRegionJobSlackThroughGateway(t *testing.T) {
-	c := NewCluster(t, Options{Backends: 2, Workers: 2})
+	c := NewCluster(t, Options{Backends: 2})
 	c.WaitRing(t, 2)
 
 	prog := thermflow.GenerateMega(thermflow.MegaOptions{

@@ -80,7 +80,7 @@ func waitTraced(t *testing.T, base, id string, sc trace.SpanContext, out *api.Jo
 // at least two distinct backends, all linked parent-to-child under the
 // client's trace ID.
 func TestRegionJobTraceStitchedAcrossBackends(t *testing.T) {
-	c := NewCluster(t, Options{Backends: 2, Workers: 2})
+	c := NewCluster(t, Options{Backends: 2})
 	c.WaitRing(t, 2)
 
 	// Region → backend placement hashes the (job, region) key onto the
@@ -173,7 +173,7 @@ func TestRegionJobTraceStitchedAcrossBackends(t *testing.T) {
 // timeline carries the queue/run/solve phase chain hanging off the
 // submit request's server span.
 func TestPlainJobTraceLifecyclePhases(t *testing.T) {
-	c := NewCluster(t, Options{Backends: 1, Workers: 2})
+	c := NewCluster(t, Options{Backends: 1})
 	c.WaitRing(t, 1)
 	b := c.Backends[0]
 
@@ -231,7 +231,7 @@ func TestPlainJobTraceLifecyclePhases(t *testing.T) {
 // the merged cross-process view: the backend's lifecycle spans plus the
 // gateway's own edge span, under the client's trace ID.
 func TestPlainJobTraceMergedThroughGateway(t *testing.T) {
-	c := NewCluster(t, Options{Backends: 2, Workers: 2})
+	c := NewCluster(t, Options{Backends: 2})
 	c.WaitRing(t, 2)
 
 	sc := trace.New()

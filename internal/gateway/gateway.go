@@ -438,7 +438,7 @@ func (b *releasingBody) Close() error {
 
 // relayHeaders are the backend response headers that travel to the
 // client: WWW-Authenticate because a relayed 401 must keep its
-// challenge, the replica marker because clients (and smoke tests) can
+// challenge, the replica marker because clients (and cluster tests) can
 // tell a successor's answer from the owner's.
 var relayHeaders = []string{"Content-Type", "Retry-After", "WWW-Authenticate", server.ReplicaHeader}
 

@@ -7,16 +7,13 @@ import (
 	"crypto/subtle"
 	"encoding/hex"
 	"fmt"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"thermflow/internal/trace"
@@ -26,8 +23,8 @@ import (
 // http.Handler wrappers for the concerns that sit in front of every
 // endpoint — request identity, access logging, bearer-token auth, and
 // body/deadline caps (per-tenant quotas live in quota.go). The handlers
-// themselves stay oblivious; cmd/thermflowd composes the chain from
-// its flags.
+// themselves stay oblivious; internal/daemon composes the chain from
+// the daemons' flags.
 
 // Middleware wraps an http.Handler.
 type Middleware func(http.Handler) http.Handler
@@ -317,30 +314,6 @@ func (s *TokenSource) OnReload(fn func(*TokenSet)) {
 type Reloader interface {
 	Reload() error
 	Path() string
-}
-
-// ReloadOnSIGHUP re-reads every source on every SIGHUP, logging under
-// name: the old configuration stops applying, the new one starts, and
-// requests in flight finish under the state they entered with. A
-// source whose reload fails keeps its previous state and logs — a
-// botched rotation must never lock everyone out — and the remaining
-// sources still reload. Shared by thermflowd and thermflowgate so the
-// two binaries cannot drift.
-func ReloadOnSIGHUP(name string, sources ...Reloader) {
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			for _, src := range sources {
-				if err := src.Reload(); err != nil {
-					log.Printf("%s: SIGHUP reload of %s failed (keeping previous state): %v",
-						name, src.Path(), err)
-					continue
-				}
-				log.Printf("%s: SIGHUP: reloaded %s", name, src.Path())
-			}
-		}
-	}()
 }
 
 // bearerToken extracts the Bearer credential ("" when absent).

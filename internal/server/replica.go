@@ -16,7 +16,7 @@ import (
 // keeps resolving even though this backend never ran the job. Entries
 // are stored as the owner's verbatim JobStatus bytes (re-encoding a
 // document another process produced could only lose information) and
-// served with the ReplicaHeader so operators and smoke tests can tell
+// served with the ReplicaHeader so operators and cluster tests can tell
 // a replica answer from an owner answer.
 //
 // The shelf is joblog-backed when a log is supplied: each accepted
