@@ -8,7 +8,7 @@ package thermflow_test
 //
 // The per-experiment benchmarks use the drivers in
 // internal/experiments with Quick sweeps; `go run ./cmd/experiments`
-// prints the full tables recorded in EXPERIMENTS.md.
+// prints the full tables.
 
 import (
 	"context"
@@ -19,6 +19,7 @@ import (
 	"thermflow"
 	"thermflow/internal/batch"
 	"thermflow/internal/experiments"
+	"thermflow/internal/floorplan"
 	"thermflow/internal/power"
 	"thermflow/internal/sim"
 	"thermflow/internal/thermal"
@@ -322,6 +323,48 @@ func BenchmarkMegaSolverRegionSlack(b *testing.B) {
 }
 
 // --- core pipeline micro-benchmarks ---
+
+// kernelSweepJobs is thermbench's kernel-sweep workload: every built-in
+// kernel's canonical text parsed back (what a served job compiles),
+// under every policy and both sweep layouts, default options otherwise
+// — 132 compiles.
+func kernelSweepJobs(b *testing.B) []thermflow.CompileJob {
+	var jobs []thermflow.CompileJob
+	for _, name := range thermflow.Kernels() {
+		k, err := thermflow.Kernel(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := thermflow.Parse(k.Fn.String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pol := range thermflow.Policies {
+			for _, l := range []floorplan.Layout{floorplan.RowMajor, floorplan.Checker} {
+				jobs = append(jobs, thermflow.CompileJob{
+					Program: p, Opts: thermflow.Options{Policy: pol, Layout: l, Seed: 1},
+				})
+			}
+		}
+	}
+	return jobs
+}
+
+// BenchmarkCompileKernelSweep compiles the kernel-sweep specs in turn,
+// one compile per op, so B/op and allocs/op are the garbage of one
+// full compile (allocation and analysis). Run a multiple of 132 ops
+// (-benchtime 1320x) to weight every spec equally.
+func BenchmarkCompileKernelSweep(b *testing.B) {
+	jobs := kernelSweepJobs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := jobs[i%len(jobs)]
+		if _, err := j.Program.Compile(j.Opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkCompile measures allocation alone (no analysis) on the FIR
 // kernel.

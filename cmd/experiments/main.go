@@ -1,5 +1,5 @@
 // Command experiments runs every reproduced figure and experiment and
-// prints their tables and heat maps (the content of EXPERIMENTS.md).
+// prints their tables and heat maps.
 //
 // Usage:
 //

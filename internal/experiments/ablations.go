@@ -29,10 +29,9 @@ type A1Result struct {
 	Rows []A1Row
 }
 
-// A1 ablates the time-acceleration factor κ (DESIGN.md §4): from a
-// cold start with fixed δ, small κ under-integrates (false early
-// convergence, large peak error) while large κ reaches the fixpoint in
-// few sweeps.
+// A1 ablates the time-acceleration factor κ: from a cold start with
+// fixed δ, small κ under-integrates (false early convergence, large
+// peak error) while large κ reaches the fixpoint in few sweeps.
 func A1(cfg Config) (*A1Result, error) {
 	cfg.section("A1 — ablation: time-acceleration factor κ")
 	const kernel = "fir"

@@ -5,8 +5,8 @@
 // A1–A2. Each driver prints its tables/maps to a writer and returns a
 // typed result so tests and benchmarks can assert the expected shapes.
 //
-// See DESIGN.md §5 for the experiment index and EXPERIMENTS.md for the
-// recorded outcomes.
+// cmd/experiments runs them all and prints the outcomes (README,
+// "Commands").
 package experiments
 
 import (

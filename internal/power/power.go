@@ -51,8 +51,8 @@ type Tech struct {
 // experiments, representative of a 65 nm-class embedded register file
 // at 1 GHz.
 //
-// Calibration note (see DESIGN.md §4): two values are *effective*
-// rather than bulk-physical. Conductivity is the effective lateral
+// Calibration note: two values are *effective* rather than
+// bulk-physical. Conductivity is the effective lateral
 // conductivity at register-cell granularity (bulk silicon's 110 W/mK
 // would give a thermal spreading length of ~20 cells, flattening the
 // whole file; the RF gradients reported by the papers this work builds
@@ -84,23 +84,28 @@ func Default65nm() Tech {
 }
 
 // Validate reports the first physically meaningless parameter, or nil.
+// Fields are checked in declaration order, so a Tech with several bad
+// fields always names the same one.
 func (t Tech) Validate() error {
-	pos := map[string]float64{
-		"EnergyRead":   t.EnergyRead,
-		"EnergyWrite":  t.EnergyWrite,
-		"CycleTime":    t.CycleTime,
-		"T0":           t.T0,
-		"TAmbient":     t.TAmbient,
-		"CellEdge":     t.CellEdge,
-		"Thickness":    t.Thickness,
-		"VolHeatCap":   t.VolHeatCap,
-		"Conductivity": t.Conductivity,
-		"PackageR":     t.PackageR,
-		"DieArea":      t.DieArea,
+	pos := [...]struct {
+		name string
+		v    float64
+	}{
+		{"EnergyRead", t.EnergyRead},
+		{"EnergyWrite", t.EnergyWrite},
+		{"CycleTime", t.CycleTime},
+		{"T0", t.T0},
+		{"TAmbient", t.TAmbient},
+		{"CellEdge", t.CellEdge},
+		{"Thickness", t.Thickness},
+		{"VolHeatCap", t.VolHeatCap},
+		{"Conductivity", t.Conductivity},
+		{"PackageR", t.PackageR},
+		{"DieArea", t.DieArea},
 	}
-	for name, v := range pos {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("power: %s must be positive, got %g", name, v)
+	for _, f := range pos {
+		if f.v <= 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("power: %s must be positive, got %g", f.name, f.v)
 		}
 	}
 	if t.LeakBase < 0 || t.LeakBeta < 0 {

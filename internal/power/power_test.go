@@ -41,6 +41,24 @@ func TestValidateCatchesBadParams(t *testing.T) {
 	}
 }
 
+// A Tech with two bad fields names the first one in declaration order,
+// the same one on every call.
+func TestValidateNamesFirstBadFieldEveryCall(t *testing.T) {
+	tech := Default65nm()
+	tech.Conductivity = 0
+	tech.EnergyWrite = -1
+	const want = "power: EnergyWrite must be positive, got -1"
+	for i := 0; i < 100; i++ {
+		err := tech.Validate()
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate() = %v, want %q", i, err, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = Default65nm().Validate() }); n != 0 {
+		t.Errorf("Validate of a valid Tech allocates %v times, want 0", n)
+	}
+}
+
 func TestAccessEnergy(t *testing.T) {
 	tech := Default65nm()
 	if tech.AccessEnergy(false) != tech.EnergyRead {

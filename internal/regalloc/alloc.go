@@ -88,6 +88,12 @@ type Allocation struct {
 	SpillLoads, SpillStores int
 	// Rounds is the number of allocation attempts (1 = no spilling).
 	Rounds int
+	// Freq is the static frequency estimate of the input function,
+	// made once per allocation. Spilling only inserts instructions into
+	// existing blocks, so it is also Fn's estimate, bit for bit: the
+	// thermal analysis of Fn reuses it instead of estimating again.
+	// Nil on an allocation decoded from a stored result.
+	Freq *cfg.Freq
 	// Policy echoes the policy used.
 	Policy Policy
 	// FP echoes the floorplan used.
@@ -143,12 +149,20 @@ func Allocate(fn *ir.Function, cfgAlloc Config) (*Allocation, error) {
 		budget = 32*fn.NumInstrs() + 256
 	}
 
+	// The first round colours the input's own graph; later rounds
+	// rebuild it for the spill-rewritten clone.
+	g := cfg.Build(fn)
+	fr := cfg.EstimateFreq(g, g.Loops(cfgAlloc.DefaultTrip))
 	cur := fn
 	var spilled []string
 	loads, stores := 0, 0
 	for round := 1; round <= maxRounds; round++ {
-		res, toSpill := tryColor(cur, cfgAlloc, fp)
+		if round > 1 {
+			g = cfg.Build(cur)
+		}
+		res, toSpill := tryColor(g, fr, cfgAlloc, fp)
 		if len(toSpill) == 0 {
+			res.Freq = fr
 			res.Spilled = spilled
 			res.SpillLoads = loads
 			res.SpillStores = stores
@@ -197,27 +211,29 @@ func dedupe(names []string) []string {
 	return out
 }
 
-// tryColor attempts one colouring pass. On success the returned spill
-// list is empty; otherwise it names values to spill before retrying.
-func tryColor(fn *ir.Function, cfgAlloc Config, fp *floorplan.Floorplan) (*Allocation, []string) {
-	g := cfg.Build(fn)
+// tryColor attempts one colouring pass over g's function, weighting
+// spill costs by the frequency estimate fr. On success the returned
+// spill list is empty; otherwise it names values to spill before
+// retrying.
+func tryColor(g *cfg.Graph, fr *cfg.Freq, cfgAlloc Config, fp *floorplan.Floorplan) (*Allocation, []string) {
+	fn := g.Fn
 	lv := analysis.ComputeLiveness(g)
 	ig := interference.Build(g, lv)
-	li := g.Loops(cfgAlloc.DefaultTrip)
-	fr := cfg.EstimateFreq(g, li)
 	du := analysis.ComputeDefUse(fn)
 
+	// Per-node tables are indexed by value ID.
 	k := cfgAlloc.NumRegs
 	nodes := ig.Nodes()
-	weight := make(map[int]float64, len(nodes))
+	nv := fn.NumValues()
+	weight := make([]float64, nv)
 	for _, v := range nodes {
 		weight[v] = du.WeightedAccesses(fn.Values()[v], fr.Block)
 	}
 
 	// Simplify: peel nodes of degree < k; when stuck, optimistically
 	// push the cheapest spill candidate (lowest weight/degree ratio).
-	removed := make(map[int]bool, len(nodes))
-	degree := make(map[int]int, len(nodes))
+	removed := make([]bool, nv)
+	degree := make([]int, nv)
 	for _, v := range nodes {
 		d := 0
 		ig.ForEachNeighbor(v, func(u int) {
@@ -288,7 +304,7 @@ func tryColor(fn *ir.Function, cfgAlloc Config, fp *floorplan.Floorplan) (*Alloc
 
 	// Select: pop in reverse, assign via policy.
 	sel := newSelector(cfgAlloc.Policy, k, fp, cfgAlloc.Seed, cfgAlloc.HeatSeed)
-	regOf := make([]int, fn.NumValues())
+	regOf := make([]int, nv)
 	for i := range regOf {
 		regOf[i] = -1
 	}

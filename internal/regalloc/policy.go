@@ -88,6 +88,8 @@ type selector struct {
 	half int
 	// heat accumulates per-register activity weight (Coldest).
 	heat []float64
+	// nbuf is neighborHeat's reused neighbour-cell buffer (Coldest).
+	nbuf []int
 	// last is the previously assigned register (RoundRobin, SpreadMax).
 	last int
 }
@@ -234,9 +236,9 @@ func (s *selector) pick(forbidden []bool, weight float64) int {
 }
 
 func (s *selector) neighborHeat(r int) float64 {
-	cell := s.fp.CellOf(r)
+	s.nbuf = s.fp.Neighbors(s.fp.CellOf(r), s.nbuf[:0])
 	total := 0.0
-	for _, nc := range s.fp.Neighbors(cell, nil) {
+	for _, nc := range s.nbuf {
 		nr := s.fp.RegAt(nc)
 		if nr >= 0 && nr < len(s.heat) {
 			total += s.heat[nr]

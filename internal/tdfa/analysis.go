@@ -95,11 +95,12 @@ func newAnalyzer(fn *ir.Function, c Config) (*analyzer, error) {
 	}
 
 	g := cfg.Build(fn)
-	var freq *cfg.Freq
-	if c.ProfileBlocks != nil {
-		freq = profiledFreq(g, c.ProfileBlocks, c.ProfileEdges)
-	} else {
+	freq := c.Freq
+	if freq == nil {
 		freq = cfg.EstimateFreq(g, g.Loops(c.DefaultTrip))
+	} else if len(freq.Block) != len(fn.Blocks) {
+		return nil, fmt.Errorf("tdfa: frequencies cover %d blocks, function has %d",
+			len(freq.Block), len(fn.Blocks))
 	}
 
 	// The grid cell size follows the floorplan (which may be a
@@ -243,30 +244,6 @@ func (a *analyzer) runDense(res *Result, blockOut []thermal.State) error {
 		}
 	}
 	return nil
-}
-
-// profiledFreq builds a frequency table from measured block/edge counts
-// (per invocation) instead of the static loop-based estimate.
-func profiledFreq(g *cfg.Graph, blocks map[string]float64, edges map[[2]string]float64) *cfg.Freq {
-	f := &cfg.Freq{
-		Block: make([]float64, g.NumBlocks()),
-		Edge:  make(map[cfg.EdgeKey]float64),
-		Prob:  make(map[cfg.EdgeKey]float64),
-	}
-	for _, b := range g.Fn.Blocks {
-		f.Block[b.Index] = blocks[b.Name]
-	}
-	for _, b := range g.Fn.Blocks {
-		for _, s := range b.Succs() {
-			key := cfg.Edge(b, s)
-			ef := edges[[2]string{b.Name, s.Name}]
-			f.Edge[key] = ef
-			if bf := f.Block[b.Index]; bf > 0 {
-				f.Prob[key] = ef / bf
-			}
-		}
-	}
-	return f
 }
 
 // avgPowerMap returns the per-cell average power of sustained execution:

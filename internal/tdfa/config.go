@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"thermflow/internal/cfg"
 	"thermflow/internal/floorplan"
 	"thermflow/internal/ir"
 	"thermflow/internal/power"
@@ -183,7 +184,7 @@ type Config struct {
 	// models κ invocations of the procedure, each instruction's power
 	// window scaled by its block's execution frequency. Larger κ
 	// reaches the thermal fixpoint in fewer sweeps at more integration
-	// work per sweep (0 = 100). See DESIGN.md §4.
+	// work per sweep (0 = 100).
 	Kappa float64
 	// DefaultTrip is the loop trip estimate when the IR carries no
 	// hint (0 = cfg.DefaultTrip).
@@ -200,14 +201,13 @@ type Config struct {
 	// relating to all parts of the processor").
 	ExtraDeposit func(in *ir.Instr, energy []float64)
 
-	// ProfileBlocks and ProfileEdges, when non-nil, replace the static
-	// frequency estimates with measured ones (executions per
-	// invocation keyed by block name, traversals keyed by [from, to]
-	// names) — the profile-guided variant bridging toward the
-	// feedback-driven flow the paper wants to avoid. Blocks or edges
-	// absent from the maps are treated as never executed.
-	ProfileBlocks map[string]float64
-	ProfileEdges  map[[2]string]float64
+	// Freq, when non-nil, supplies the block and edge frequencies
+	// instead of the static estimate (nil = estimate with DefaultTrip):
+	// the estimate the allocator already made (regalloc.Allocation's
+	// Freq), or a measured profile — the profile-guided variant
+	// bridging toward the feedback-driven flow the paper wants to
+	// avoid. It must be indexed by the analyzed function's blocks.
+	Freq *cfg.Freq
 
 	// Ctx, when non-nil, is polled once per block evaluation inside
 	// both solvers: cancelling it makes Analyze return the context's

@@ -21,7 +21,8 @@
 //
 // Analyze is the entry point; Config parameterizes everything (δ,
 // iteration cap, time-acceleration factor κ, join operator, leakage,
-// profile-guided frequencies, warm start). Two fixpoint solvers share
+// supplied frequencies — the allocator's estimate or a measured
+// profile — and warm start). Two fixpoint solvers share
 // the same transfer function: SolverDense is the paper-faithful
 // whole-procedure sweep and the reference; SolverSparse is an
 // allocation-free worklist variant that re-sweeps only blocks whose

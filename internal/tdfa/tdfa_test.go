@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"thermflow/internal/cfg"
 	"thermflow/internal/floorplan"
 	"thermflow/internal/ir"
 	"thermflow/internal/power"
@@ -321,6 +322,10 @@ func TestAnalyzeErrors(t *testing.T) {
 	if _, err := Analyze(f, Config{Tech: badTech}); err == nil {
 		t.Error("invalid tech accepted")
 	}
+	short := &cfg.Freq{Block: make([]float64, len(a.Fn.Blocks)-1)}
+	if _, err := Analyze(a.Fn, Config{Alloc: a, Freq: short}); err == nil {
+		t.Error("frequencies for another block count accepted")
+	}
 }
 
 func TestRegPeakMatchesFloorplan(t *testing.T) {
@@ -388,8 +393,23 @@ func TestKappaControlsColdStartFidelity(t *testing.T) {
 	errSmall := math.Abs(small.PeakTemp - ref.PeakTemp)
 	errLarge := math.Abs(large.PeakTemp - ref.PeakTemp)
 	if errLarge >= errSmall {
-		t.Errorf("κ=1e6 peak error %g K not below κ=1e4 error %g K (ref peak %g)",
+		t.Errorf("κ=100 peak error %g K not below κ=0.1 error %g K (ref peak %g)",
 			errLarge, errSmall, ref.PeakTemp)
+	}
+
+	// κ=0 selects the default, 100: the two compile identically.
+	def, err := Analyze(a.Fn, Config{Alloc: a, MaxIter: 1024, NoWarmStart: true, Delta: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Iterations != large.Iterations || def.PeakTemp != large.PeakTemp {
+		t.Fatalf("κ=0: %d sweeps, peak %v; κ=100: %d sweeps, peak %v",
+			def.Iterations, def.PeakTemp, large.Iterations, large.PeakTemp)
+	}
+	for i := range def.InstrState {
+		if d := def.InstrState[i].MaxDelta(large.InstrState[i]); d != 0 {
+			t.Fatalf("κ=0 and κ=100 differ at instruction %d by %g K", i, d)
+		}
 	}
 }
 

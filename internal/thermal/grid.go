@@ -34,8 +34,6 @@ type Grid struct {
 	GVert float64
 	// TAmb is the ambient (heat-sink) temperature in K.
 	TAmb float64
-
-	neighbors [][]int // precomputed 4-connectivity
 }
 
 // NewGrid builds the thermal grid for a W×H array using the technology
@@ -54,30 +52,7 @@ func NewGrid(w, h int, tech power.Tech) (*Grid, error) {
 		GVert: tech.VerticalG(),
 		TAmb:  tech.TAmbient,
 	}
-	g.precomputeNeighbors()
 	return g, nil
-}
-
-func (g *Grid) precomputeNeighbors() {
-	n := g.W * g.H
-	g.neighbors = make([][]int, n)
-	for c := 0; c < n; c++ {
-		x, y := c%g.W, c/g.W
-		var ns []int
-		if x > 0 {
-			ns = append(ns, c-1)
-		}
-		if x < g.W-1 {
-			ns = append(ns, c+1)
-		}
-		if y > 0 {
-			ns = append(ns, c-g.W)
-		}
-		if y < g.H-1 {
-			ns = append(ns, c+g.W)
-		}
-		g.neighbors[c] = ns
-	}
 }
 
 // NumCells returns the number of cells.
@@ -126,23 +101,44 @@ func (g *Grid) StepWith(s State, pow []float64, dt float64, scratch State) {
 		steps = maxSub
 	}
 	sub := dt / float64(steps)
+	cur, next := s, scratch
 	for k := 0; k < steps; k++ {
-		g.step(s, scratch, pow, sub)
-		copy(s, scratch)
+		g.step(cur, next, pow, sub)
+		cur, next = next, cur
+	}
+	if steps%2 == 1 {
+		copy(s, cur)
 	}
 }
 
+// step writes into out the state s advances to in dt seconds. Each
+// cell exchanges heat with its 4-connected neighbours, found by
+// boundary tests and summed left, right, up, down.
 func (g *Grid) step(s, out State, pow []float64, dt float64) {
-	for c := range s {
-		p := 0.0
-		if pow != nil {
-			p = pow[c]
+	w, h := g.W, g.H
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			c := y*w + x
+			p := 0.0
+			if pow != nil {
+				p = pow[c]
+			}
+			t := s[c]
+			flux := p - g.GVert*(t-g.TAmb)
+			if x > 0 {
+				flux -= g.GLat * (t - s[c-1])
+			}
+			if x < w-1 {
+				flux -= g.GLat * (t - s[c+1])
+			}
+			if y > 0 {
+				flux -= g.GLat * (t - s[c-w])
+			}
+			if y < h-1 {
+				flux -= g.GLat * (t - s[c+w])
+			}
+			out[c] = t + dt*flux/g.C
 		}
-		flux := p - g.GVert*(s[c]-g.TAmb)
-		for _, n := range g.neighbors[c] {
-			flux -= g.GLat * (s[c] - s[n])
-		}
-		out[c] = s[c] + dt*flux/g.C
 	}
 }
 
@@ -156,24 +152,40 @@ const steadyEpsilon = 1e-9
 // Σ GLat·(T−Tn) = P for every cell and returns the resulting state.
 func (g *Grid) SteadyState(pow []float64) State {
 	s := g.NewState()
+	w, h := g.W, g.H
 	for it := 0; it < steadyIterations; it++ {
 		maxDelta := 0.0
-		for c := range s {
-			p := 0.0
-			if pow != nil {
-				p = pow[c]
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				c := y*w + x
+				p := 0.0
+				if pow != nil {
+					p = pow[c]
+				}
+				num := p + g.GVert*g.TAmb
+				den := g.GVert
+				if x > 0 {
+					num += g.GLat * s[c-1]
+					den += g.GLat
+				}
+				if x < w-1 {
+					num += g.GLat * s[c+1]
+					den += g.GLat
+				}
+				if y > 0 {
+					num += g.GLat * s[c-w]
+					den += g.GLat
+				}
+				if y < h-1 {
+					num += g.GLat * s[c+w]
+					den += g.GLat
+				}
+				t := num / den
+				if d := math.Abs(t - s[c]); d > maxDelta {
+					maxDelta = d
+				}
+				s[c] = t
 			}
-			num := p + g.GVert*g.TAmb
-			den := g.GVert
-			for _, n := range g.neighbors[c] {
-				num += g.GLat * s[n]
-				den += g.GLat
-			}
-			t := num / den
-			if d := math.Abs(t - s[c]); d > maxDelta {
-				maxDelta = d
-			}
-			s[c] = t
 		}
 		if maxDelta < steadyEpsilon {
 			break

@@ -287,3 +287,122 @@ func TestSteadyStateMonotoneInPower(t *testing.T) {
 		}
 	}
 }
+
+// refNeighbors is the reference stencil's 4-connectivity table, each
+// cell's neighbours listed left, right, up, down.
+func refNeighbors(g *Grid) [][]int {
+	nb := make([][]int, g.NumCells())
+	for c := range nb {
+		x, y := c%g.W, c/g.W
+		if x > 0 {
+			nb[c] = append(nb[c], c-1)
+		}
+		if x < g.W-1 {
+			nb[c] = append(nb[c], c+1)
+		}
+		if y > 0 {
+			nb[c] = append(nb[c], c-g.W)
+		}
+		if y < g.H-1 {
+			nb[c] = append(nb[c], c+g.W)
+		}
+	}
+	return nb
+}
+
+// refStepWith is the reference integrator: table-driven, each substep
+// writing the scratch state and copying it back.
+func refStepWith(g *Grid, nb [][]int, s State, pow []float64, dt float64, scratch State) {
+	steps := int(math.Ceil(dt / g.MaxStableStep()))
+	if steps < 1 {
+		steps = 1
+	}
+	sub := dt / float64(steps)
+	for k := 0; k < steps; k++ {
+		for c := range s {
+			p := 0.0
+			if pow != nil {
+				p = pow[c]
+			}
+			flux := p - g.GVert*(s[c]-g.TAmb)
+			for _, n := range nb[c] {
+				flux -= g.GLat * (s[c] - s[n])
+			}
+			scratch[c] = s[c] + sub*flux/g.C
+		}
+		copy(s, scratch)
+	}
+}
+
+// refSteadyState is the table-driven Gauss-Seidel steady-state solve.
+func refSteadyState(g *Grid, nb [][]int, pow []float64) State {
+	s := g.NewState()
+	for it := 0; it < steadyIterations; it++ {
+		maxDelta := 0.0
+		for c := range s {
+			p := 0.0
+			if pow != nil {
+				p = pow[c]
+			}
+			num := p + g.GVert*g.TAmb
+			den := g.GVert
+			for _, n := range nb[c] {
+				num += g.GLat * s[n]
+				den += g.GLat
+			}
+			t := num / den
+			if d := math.Abs(t - s[c]); d > maxDelta {
+				maxDelta = d
+			}
+			s[c] = t
+		}
+		if maxDelta < steadyEpsilon {
+			break
+		}
+	}
+	return s
+}
+
+// The boundary-test stencil and the buffer-swapping integrator give
+// the table-driven reference's bits on every grid shape, with and
+// without power, for odd and even substep counts.
+func TestStencilMatchesTableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, dims := range [][2]int{{1, 1}, {1, 7}, {7, 1}, {5, 7}, {8, 8}, {16, 4}} {
+		g := newTestGrid(t, dims[0], dims[1])
+		nb := refNeighbors(g)
+		n := g.NumCells()
+		random := make([]float64, n)
+		for i := range random {
+			random[i] = rng.Float64() * 4e-3
+		}
+		for _, pow := range [][]float64{random, nil} {
+			if got, want := g.SteadyState(pow), refSteadyState(g, nb, pow); !sameBits(got, want) {
+				t.Fatalf("%dx%d nil-power=%v: SteadyState differs from the reference", dims[0], dims[1], pow == nil)
+			}
+			for _, steps := range []int{1, 2, 3, 4, 7, 8} {
+				dt := (float64(steps) - 0.5) * g.MaxStableStep()
+				start := g.SteadyState(random) // a non-uniform initial state
+				got, want := start.Copy(), start.Copy()
+				g.StepWith(got, pow, dt, make(State, n))
+				refStepWith(g, nb, want, pow, dt, make(State, n))
+				if !sameBits(got, want) {
+					t.Fatalf("%dx%d nil-power=%v steps=%d: StepWith differs from the reference",
+						dims[0], dims[1], pow == nil, steps)
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b State) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

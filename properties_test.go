@@ -6,11 +6,13 @@ package thermflow
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"thermflow/internal/analysis"
 	"thermflow/internal/cfg"
+	"thermflow/internal/floorplan"
 	"thermflow/internal/interference"
 	"thermflow/internal/power"
 	"thermflow/internal/regalloc"
@@ -392,6 +394,112 @@ func TestRegionDenseDifferential(t *testing.T) {
 		})
 		check(t, fmt.Sprintf("mega-seed-%d", seed), p, Options{Regions: 6})
 	}
+}
+
+// Compile estimates block frequencies once, in the allocator, and hands
+// that estimate to the analysis. Its result must be the one of a
+// separate Allocate followed by Analyze with Freq nil, which estimates
+// again on the allocated function, bit for bit.
+func TestCompileMatchesSeparateAllocateAnalyze(t *testing.T) {
+	check := func(t *testing.T, name string, p *Program, opts Options) *Compiled {
+		t.Helper()
+		c, err := p.Compile(opts)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		fp, err := opts.floorplan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc, err := regalloc.Allocate(p.Fn, regalloc.Config{
+			NumRegs: opts.numRegs(), Policy: opts.Policy, Seed: opts.Seed,
+			HeatSeed: opts.HeatSeed, FP: fp, DefaultTrip: opts.DefaultTrip,
+		})
+		if err != nil {
+			t.Fatalf("%s: allocate: %v", name, err)
+		}
+		ref, err := tdfa.Analyze(alloc.Fn, tdfa.Config{
+			Tech: opts.tech(), FP: fp, Alloc: alloc, Solver: opts.Solver,
+			Delta: opts.Delta, MaxIter: opts.MaxIter, Kappa: opts.Kappa,
+			JoinOp: opts.JoinOp, WithLeakage: opts.WithLeakage,
+			NoWarmStart: opts.NoWarmStart, DefaultTrip: opts.DefaultTrip,
+		})
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", name, err)
+		}
+		got := c.Thermal
+		if got.Converged != ref.Converged || got.Iterations != ref.Iterations ||
+			math.Float64bits(got.PeakTemp) != math.Float64bits(ref.PeakTemp) {
+			t.Fatalf("%s: conv %v/%v iter %d/%d peak %v/%v", name,
+				got.Converged, ref.Converged, got.Iterations, ref.Iterations, got.PeakTemp, ref.PeakTemp)
+		}
+		if !sameBits(got.RegPeak, ref.RegPeak) {
+			t.Fatalf("%s: register peaks differ", name)
+		}
+		if len(got.InstrState) != len(ref.InstrState) {
+			t.Fatalf("%s: %d instruction states, want %d", name, len(got.InstrState), len(ref.InstrState))
+		}
+		for i := range got.InstrState {
+			if !sameBits(got.InstrState[i], ref.InstrState[i]) {
+				t.Fatalf("%s: instruction %d state differs", name, i)
+			}
+		}
+		return c
+	}
+
+	for _, name := range Kernels() {
+		p, err := Kernel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range Policies {
+			for _, l := range []floorplan.Layout{floorplan.RowMajor, floorplan.Checker} {
+				for _, cold := range []bool{false, true} {
+					opts := Options{Policy: pol, Layout: l, Seed: 1, NoWarmStart: cold}
+					check(t, fmt.Sprintf("%s/%s/%s/cold=%v", name, pol, l, cold), p, opts)
+				}
+			}
+		}
+	}
+	spilled := 0
+	for seed := int64(0); seed < 40; seed++ {
+		p := Generate(GenerateOptions{
+			Seed: seed, Pressure: 14 + int(seed)%7, Segments: 4 + int(seed)%3, LoopDepth: 2,
+			Irregularity: float64(seed%4) / 10, TripCount: 4 + int(seed)%5,
+		})
+		opts := Options{
+			NumRegs: 16, GridW: 4, GridH: 4, Seed: seed,
+			Policy:      Policies[int(seed)%len(Policies)],
+			NoWarmStart: seed%2 == 1,
+		}
+		if c := check(t, fmt.Sprintf("gen-seed-%d", seed), p, opts); c.Alloc.Rounds > 1 {
+			spilled++
+		}
+	}
+	if spilled < 20 {
+		t.Errorf("only %d of 40 generated programs spilled; the corpus no longer covers multi-round allocations", spilled)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		p := GenerateMega(MegaOptions{
+			Seed: seed, Arms: 4, Depth: 2, OpsPerBlock: 6, Pressure: 12, TripCount: 6 + int(seed),
+		})
+		check(t, fmt.Sprintf("mega-seed-%d", seed), p, Options{
+			Policy: Policies[int(seed)%len(Policies)], NoWarmStart: true, MaxIter: 4096,
+		})
+	}
+}
+
+// sameBits reports whether two vectors hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Round-trip: every generated program prints and re-parses to an

@@ -75,6 +75,7 @@ func NewRegionSession(spec JobSpec) (*RegionSession, error) {
 		WithLeakage: opts.WithLeakage,
 		NoWarmStart: opts.NoWarmStart,
 		DefaultTrip: opts.DefaultTrip,
+		Freq:        alloc.Freq,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("thermflow: region session: %w", err)

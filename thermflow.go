@@ -211,7 +211,7 @@ type Options struct {
 	Delta float64
 	// MaxIter caps analysis sweeps (0 = 64).
 	MaxIter int
-	// Kappa is the time-acceleration factor (0 = 1e5).
+	// Kappa is the time-acceleration factor (0 = 100).
 	Kappa float64
 	// JoinOp selects the merge operator at control-flow joins.
 	JoinOp tdfa.Join
@@ -314,6 +314,7 @@ func (p *Program) CompileContext(ctx context.Context, opts Options) (*Compiled, 
 			WithLeakage: opts.WithLeakage,
 			NoWarmStart: opts.NoWarmStart,
 			DefaultTrip: opts.DefaultTrip,
+			Freq:        alloc.Freq,
 		})
 		if err != nil {
 			done(false)

@@ -3,6 +3,8 @@ package thermflow
 import (
 	"fmt"
 
+	"thermflow/internal/cfg"
+	"thermflow/internal/ir"
 	"thermflow/internal/metrics"
 	"thermflow/internal/sim"
 	"thermflow/internal/tdfa"
@@ -95,16 +97,20 @@ func (c *Compiled) ProfileGuided(scale int) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	blocks := make(map[string]float64, len(res.Profile.Blocks))
-	for name, n := range res.Profile.Blocks {
-		blocks[name] = float64(n)
-	}
-	edges := make(map[[2]string]float64, len(res.Profile.Edges))
-	for key, n := range res.Profile.Edges {
-		edges[key] = float64(n)
-	}
-	opts := c.Opts
-	thermalRes, err := tdfaAnalyzeWithProfile(c, blocks, edges, opts)
+	thermalRes, err := tdfa.Analyze(c.Alloc.Fn, tdfa.Config{
+		Tech:        c.tech,
+		FP:          c.fp,
+		Alloc:       c.Alloc,
+		Solver:      c.Opts.Solver,
+		Delta:       c.Opts.Delta,
+		MaxIter:     c.Opts.MaxIter,
+		Kappa:       c.Opts.Kappa,
+		JoinOp:      c.Opts.JoinOp,
+		WithLeakage: c.Opts.WithLeakage,
+		NoWarmStart: c.Opts.NoWarmStart,
+		DefaultTrip: c.Opts.DefaultTrip,
+		Freq:        profiledFreq(c.Alloc.Fn, res.Profile),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -113,22 +119,29 @@ func (c *Compiled) ProfileGuided(scale int) (*Compiled, error) {
 	return &nc, nil
 }
 
-func tdfaAnalyzeWithProfile(c *Compiled, blocks map[string]float64, edges map[[2]string]float64, opts Options) (*tdfa.Result, error) {
-	return tdfa.Analyze(c.Alloc.Fn, tdfa.Config{
-		Tech:          c.tech,
-		FP:            c.fp,
-		Alloc:         c.Alloc,
-		Solver:        opts.Solver,
-		Delta:         opts.Delta,
-		MaxIter:       opts.MaxIter,
-		Kappa:         opts.Kappa,
-		JoinOp:        opts.JoinOp,
-		WithLeakage:   opts.WithLeakage,
-		NoWarmStart:   opts.NoWarmStart,
-		DefaultTrip:   opts.DefaultTrip,
-		ProfileBlocks: blocks,
-		ProfileEdges:  edges,
-	})
+// profiledFreq builds a frequency table from one run's measured block
+// and edge counts (per invocation) instead of the static loop-based
+// estimate. Blocks and edges the run never took get zero.
+func profiledFreq(fn *ir.Function, prof *sim.Profile) *cfg.Freq {
+	f := &cfg.Freq{
+		Block: make([]float64, len(fn.Blocks)),
+		Edge:  make(map[cfg.EdgeKey]float64),
+		Prob:  make(map[cfg.EdgeKey]float64),
+	}
+	for _, b := range fn.Blocks {
+		f.Block[b.Index] = float64(prof.Blocks[b.Name])
+	}
+	for _, b := range fn.Blocks {
+		for _, s := range b.Succs() {
+			key := cfg.Edge(b, s)
+			ef := float64(prof.Edges[[2]string{b.Name, s.Name}])
+			f.Edge[key] = ef
+			if bf := f.Block[b.Index]; bf > 0 {
+				f.Prob[key] = ef / bf
+			}
+		}
+	}
+	return f
 }
 
 // Accuracy quantifies how well the compile-time prediction matches the
