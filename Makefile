@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-serve bench-persist bench-region serve smoke fuzz fmt vet ci
+.PHONY: build test bench bench-persist bench-region serve smoke fuzz fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -11,11 +11,6 @@ test:
 # Records the batch-engine and solver benchmarks in BENCH_batch.json.
 bench:
 	sh scripts/bench_batch.sh
-
-# Records the thermflowd cross-process cache-sharing win in
-# BENCH_serve.json (two cmd/experiments runs against one server).
-bench-serve:
-	sh scripts/bench_serve.sh
 
 # Records the persistent-cache warm-restart win in BENCH_persist.json
 # (full sweep, hard thermflowd restart over the same -cache-dir).
@@ -52,7 +47,10 @@ fuzz:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# bench/ is its own Go module, outside the root ./... pattern; vetting
+# it here catches a root API change that breaks thermbench's build.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 ci: fmt vet build test

@@ -83,9 +83,13 @@ type JobStatus struct {
 const ReplicaHeader = "X-Thermflow-Replica"
 
 // JobsBatchRequest submits many jobs in one request; the response is a
-// stream of newline-delimited JobItem values in completion order.
-// Per-item deadlines and priorities are ignored in batch mode — a
-// batch is one request bounded by its own connection and context.
+// stream of newline-delimited JobItem values in completion order. Each
+// item is submitted as POST /v2/jobs submits one — its deadline,
+// priority and the tenant's quotas apply, and it stays readable by ID
+// — and an item the registry refuses (tenant quota, shed) is answered
+// at once with the refusal in JobItem.Error. An item refused because
+// the registry is full waits until one of the batch's own jobs ends
+// and is submitted again; it reads busy only when none is left.
 type JobsBatchRequest struct {
 	Jobs []JobRequest `json:"jobs"`
 }
@@ -97,7 +101,8 @@ type JobItem struct {
 	Index int `json:"index"`
 	// ID is the job's content identity.
 	ID string `json:"id"`
-	// Error is the job's isolated failure, empty on success.
+	// Error is the job's isolated failure, or the registry's refusal to
+	// admit it (tenant quota, shed, busy); empty on success.
 	Error string `json:"error,omitempty"`
 	// Result is the compilation result, nil on failure.
 	Result *CompileResponse `json:"result,omitempty"`

@@ -213,15 +213,6 @@ func (b *Batch) Lookup(key string) (*Compiled, bool) {
 // job, in order. Failures are isolated per job; ctx cancels jobs not
 // yet started.
 func (b *Batch) Compile(ctx context.Context, jobs []CompileJob) []CompileResult {
-	return b.CompileStream(ctx, jobs, nil)
-}
-
-// CompileStream is Compile with a completion hook: emit (when non-nil)
-// is called once per job, with the job's index and result, as soon as
-// that job finishes — the streaming backbone of thermflowd's batch
-// endpoint. Emission order is completion order, not job order; emit
-// runs on the worker goroutines and must be safe for concurrent use.
-func (b *Batch) CompileStream(ctx context.Context, jobs []CompileJob, emit func(int, CompileResult)) []CompileResult {
 	bjobs := make([]batch.Job, len(jobs))
 	for i, j := range jobs {
 		j := j
@@ -248,25 +239,15 @@ func (b *Batch) CompileStream(ctx context.Context, jobs []CompileJob, emit func(
 			return j.Program.CompileContext(ctx, j.Opts)
 		}}
 	}
-	var bemit func(int, batch.Result)
-	if emit != nil {
-		bemit = func(i int, r batch.Result) { emit(i, toCompileResult(r)) }
-	}
-	raw := b.r.RunStream(ctx, bjobs, bemit)
+	raw := b.r.Run(ctx, bjobs)
 	out := make([]CompileResult, len(raw))
 	for i, r := range raw {
-		out[i] = toCompileResult(r)
+		out[i] = CompileResult{Err: r.Err, Cached: r.Cached}
+		if c, ok := r.Value.(*Compiled); ok {
+			out[i].Compiled = c
+		}
 	}
 	return out
-}
-
-// toCompileResult converts the untyped batch result.
-func toCompileResult(r batch.Result) CompileResult {
-	res := CompileResult{Err: r.Err, Cached: r.Cached}
-	if c, ok := r.Value.(*Compiled); ok {
-		res.Compiled = c
-	}
-	return res
 }
 
 // CompileBatch compiles many (program, options) jobs across a worker

@@ -389,7 +389,10 @@ func (c *Client) jobStatusOnce(ctx context.Context, path string) (*api.JobStatus
 // CompileBatchJobs submits jobs in one request (POST /v2/batch) and
 // calls onItem per result as the server streams it back, in completion
 // order. Items carry both the submission index and the job ID — the
-// latter stable across servers, duplicates sharing one ID.
+// latter stable across servers, duplicates sharing one ID. Each item
+// is a registered job: a refused one (tenant quota, shed, busy)
+// carries the refusal in its Error, and cancelling ctx ends the stream
+// but not the jobs, which stay readable with Job and WaitJob.
 func (c *Client) CompileBatchJobs(ctx context.Context, jobs []api.JobRequest, onItem func(api.JobItem)) error {
 	resp, err := c.send(ctx, http.MethodPost, "/v2/batch", api.JobsBatchRequest{Jobs: jobs})
 	if err != nil {

@@ -8,8 +8,9 @@
 //
 // With -addr the standard sweep matrix runs against a running
 // thermflowd server instead of an in-process engine, so concurrent or
-// repeated runs — even from different processes — share one result
-// cache (see scripts/bench_serve.sh for the recorded comparison).
+// repeated runs — even from different processes — share its jobs and
+// result cache. -addr URL -reset-cache clears that cache
+// (DELETE /v2/cache) and exits.
 package main
 
 import (

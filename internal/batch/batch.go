@@ -164,24 +164,7 @@ func (r *Runner) ResetCache() error {
 // context cancellation; it never returns an error itself — each job's
 // outcome is isolated in its Result.
 func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
-	return r.RunStream(ctx, jobs, nil)
-}
-
-// RunStream is Run with a completion hook: emit (when non-nil) is
-// called once per job, with the job's index and its Result, as soon as
-// that job finishes — duplicates of an in-flight key fire immediately
-// after their representative. Emission order is completion order, not
-// job order. emit is called from the worker goroutines, so it must be
-// safe for concurrent use; a slow emit backpressures the worker that
-// calls it.
-func (r *Runner) RunStream(ctx context.Context, jobs []Job, emit func(int, Result)) []Result {
 	out := make([]Result, len(jobs))
-	deliver := func(i int, res Result) {
-		out[i] = res
-		if emit != nil {
-			emit(i, res)
-		}
-	}
 
 	// Dedupe keyed jobs up front: one representative per key runs, the
 	// duplicates share its result afterwards. Without this a duplicate
@@ -223,7 +206,7 @@ func (r *Runner) RunStream(ctx context.Context, jobs []Job, emit func(int, Resul
 				} else {
 					res = r.runJob(ctx, jobs[i])
 				}
-				deliver(i, res)
+				out[i] = res
 				fres := res
 				if fres.Err == nil {
 					fres.Cached = true
@@ -232,7 +215,7 @@ func (r *Runner) RunStream(ctx context.Context, jobs []Job, emit func(int, Resul
 					if fres.Err == nil {
 						r.hits.Add(1)
 					}
-					deliver(fi, fres)
+					out[fi] = fres
 				}
 			}
 		}()

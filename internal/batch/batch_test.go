@@ -190,3 +190,35 @@ func TestWorkersActuallyRunConcurrently(t *testing.T) {
 		t.Errorf("observed concurrency %d, want >= 2", p)
 	}
 }
+
+func TestResetCacheZeroesStats(t *testing.T) {
+	r := NewRunner(1)
+	job := Job{Key: "a", Fn: func(context.Context) (any, error) { return 1, nil }}
+	r.Run(context.Background(), []Job{job})
+	r.Run(context.Background(), []Job{job})
+	if s := r.Stats(); s.Misses != 1 || s.Hits != 1 {
+		t.Fatalf("stats before reset = %+v", s)
+	}
+	r.ResetCache()
+	if s := r.Stats(); s != (Stats{}) {
+		t.Errorf("stats after reset = %+v, want zero", s)
+	}
+	out := r.Run(context.Background(), []Job{job})
+	if out[0].Cached {
+		t.Error("result cached across ResetCache")
+	}
+}
+
+func TestPanicErrorIsTyped(t *testing.T) {
+	r := NewRunner(1)
+	out := r.Run(context.Background(), []Job{
+		{Fn: func(context.Context) (any, error) { panic("boom") }},
+	})
+	var pe *PanicError
+	if !errors.As(out[0].Err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", out[0].Err)
+	}
+	if pe.Val != "boom" || len(pe.Stack) == 0 {
+		t.Errorf("PanicError = %+v", pe)
+	}
+}

@@ -8,13 +8,13 @@
 // the same Runner, and (through thermflow.Batch and internal/server)
 // across HTTP clients.
 //
-// Runner.Run returns results in job order once everything finished;
-// Runner.RunStream additionally emits each result the moment its job
-// completes, which is what the server's NDJSON batch endpoint streams
-// to clients. Duplicate keys within one call are deduplicated up
-// front (one representative runs, followers share), so a duplicate
-// never parks a worker; duplicates across concurrent calls coalesce
-// on the in-flight cache entry instead.
+// Runner.Run returns results in job order once everything finished.
+// Duplicate keys within one call are deduplicated up front (one
+// representative runs, followers share), so a duplicate never parks a
+// worker; duplicates across concurrent calls coalesce on the
+// in-flight cache entry instead. thermflowd's job registry
+// (internal/jobs) calls it once per job, so the registry, not the
+// Runner's pool, bounds how many compiles a server runs at once.
 //
 // Cache correctness notes: an entry whose computation failed under a
 // cancelled context is dropped rather than poisoning the key for

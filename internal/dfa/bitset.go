@@ -1,14 +1,13 @@
 // Package dfa provides the generic data-flow machinery shared by the
-// classic analyses (liveness, reaching definitions, bitwidth) and, in
-// spirit, by the thermal analysis: a dense bit set and a worklist
-// fixpoint solver parameterized over the fact type.
+// classic analyses (liveness, reaching definitions) and, in spirit, by
+// the thermal analysis: a dense bit set and a worklist fixpoint solver
+// parameterized over the fact type.
 //
 // The paper (§3) frames its contribution against exactly this
 // machinery: "liveness analysis [needs] a single bit of information per
-// variable", "bitwidth analysis ... propagates an interval", and the
-// proposed thermal analysis "must propagate a floorplan-aware estimate
-// of the thermal state", i.e. a vector of temperatures. All three fact
-// shapes run on the same solver.
+// variable", while the proposed thermal analysis "must propagate a
+// floorplan-aware estimate of the thermal state", i.e. a vector of
+// temperatures. Both fact shapes run on the same solver.
 package dfa
 
 import (

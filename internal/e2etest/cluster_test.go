@@ -64,7 +64,8 @@ func metricValue(exposition, name string) float64 {
 }
 
 // The 99-job sweep: 99 jobs through the gateway's batch fan-out
-// answer exactly once each with 99 distinct IDs and no errors, both
+// answer exactly once each with 99 distinct IDs and no errors, each ID
+// then answers GET /v2/jobs/{id} through the gateway as done, both
 // backends compile a share, and the observability plane has series
 // for all of it.
 func TestClusterSweep99(t *testing.T) {
@@ -96,6 +97,13 @@ func TestClusterSweep99(t *testing.T) {
 	}
 	if len(ids) != 99 || errs != 0 {
 		t.Fatalf("sweep: %d distinct ids, %d errors; want 99 and 0", len(ids), errs)
+	}
+	// Every item is a registered job, readable by ID through the gateway.
+	for id := range ids {
+		st, err := cl.Job(ctx, id)
+		if err != nil || st.State != "done" {
+			t.Fatalf("GET job %s after the sweep: %v (%+v), want done", id[:12], err, st)
+		}
 	}
 
 	// Both backends actually compiled a share of the sweep.

@@ -15,9 +15,9 @@ import (
 type RemoteResult struct {
 	// Jobs is the number of jobs submitted; Errors how many failed.
 	Jobs, Errors int
-	// Cached counts results the server answered from its cache — on a
-	// second run against the same server this is the cross-process
-	// dedup win the ROADMAP's "result serving" item is after.
+	// Cached counts results the server answered from an existing job
+	// or its cache — on a second run against the same server this is
+	// the cross-process dedup win.
 	Cached int
 	// Wall is the client-observed wall-clock of the whole stream.
 	Wall time.Duration
@@ -32,8 +32,8 @@ type RemoteResult struct {
 }
 
 // RemoteResetCache drops a running server's result cache and zeroes
-// its counters (used by scripts/bench_serve.sh to separate the cold
-// run from the readiness probe).
+// its counters (DELETE /v2/cache). Finished jobs stay in the server's
+// registry, so a repeated sweep still converges on them.
 func RemoteResetCache(addr string) error {
 	_, err := client.New(addr, nil).ResetCache(context.Background())
 	return err
@@ -43,10 +43,9 @@ func RemoteResetCache(addr string) error {
 // plus the sparse solver and two reduced register-file sizes per
 // kernel — against a running thermflowd server instead of an
 // in-process engine, streaming results as the server finishes them.
-// Two processes pointed at the same server share one result cache, so
-// a repeated sweep is answered almost entirely from cache; the summary
-// line reports the observed hit count and wall-clock for exactly that
-// comparison (recorded in BENCH_serve.json by scripts/bench_serve.sh).
+// Two processes pointed at the same server share its jobs and result
+// cache, so a repeated sweep is answered almost entirely from them; the
+// summary line reports the observed cached count and wall-clock.
 //
 // Quick trims the matrix to two kernels × two policies.
 func Remote(cfg Config, addr string) (*RemoteResult, error) {

@@ -329,8 +329,12 @@ func (r *Registry) Close() { r.cancel() }
 
 // Submit registers the job for spec and schedules it, returning its
 // snapshot and whether a new job was created. A spec whose ID is
-// already registered — live or terminal — converges on that job: the
-// same work has the same address, so a duplicate submit is a lookup.
+// already registered live or done converges on that job: the same work
+// has the same address, so a duplicate submit is a lookup. A retained
+// job that failed or expired is replaced by a fresh one instead —
+// its deadline, the admission that shed it or the cancellation that
+// stopped it belonged to an earlier submit, and a deterministic
+// failure comes back from the engine's short-lived failure cache.
 func (r *Registry) Submit(spec thermflow.JobSpec) (Snapshot, bool, error) {
 	return r.SubmitLimited(spec, Limits{})
 }
@@ -341,28 +345,42 @@ func (r *Registry) Submit(spec thermflow.JobSpec) (Snapshot, bool, error) {
 // cap shapes dispatch. Duplicate submits still converge without
 // charging admission — a dedup is a lookup, not new work.
 func (r *Registry) SubmitLimited(spec thermflow.JobSpec, lim Limits) (Snapshot, bool, error) {
-	return r.SubmitTraced(spec, lim, trace.SpanContext{})
+	h, created, err := r.SubmitTraced(spec, lim, trace.SpanContext{})
+	return h.Snapshot, created, err
 }
 
+// Handle is one submit's answer: the job's snapshot at submit time and
+// the job itself, so a waiter keeps hold of it even after retention
+// has dropped its ID from the registry.
+type Handle struct {
+	Snapshot
+	r *Registry
+	j *job
+}
+
+// Wait is Registry.Wait on the submitted job rather than on a lookup
+// by ID: it blocks until the job is terminal or ctx is done.
+func (h Handle) Wait(ctx context.Context) (Snapshot, error) { return h.r.wait(ctx, h.j) }
+
 // SubmitTraced is SubmitLimited carrying the submit request's span
-// context: a genuinely new job records its lifecycle phases as spans
-// under sc's trace (an invalid sc records nothing). A duplicate submit
-// keeps the first submit's trace — the job is the same work.
-func (r *Registry) SubmitTraced(spec thermflow.JobSpec, lim Limits, sc trace.SpanContext) (Snapshot, bool, error) {
+// context and returning a Handle: a genuinely new job records its
+// lifecycle phases as spans under sc's trace (an invalid sc records
+// nothing). A duplicate submit keeps the first submit's trace — the
+// job is the same work.
+func (r *Registry) SubmitTraced(spec thermflow.JobSpec, lim Limits, sc trace.SpanContext) (Handle, bool, error) {
 	id, err := spec.ID()
 	if err != nil {
-		return Snapshot{}, false, err
+		return Handle{}, false, err
 	}
 	// Duplicate-submit fast path: a registered ID answers from the
 	// registry without re-parsing the source.
 	now := r.clock()
 	r.mu.Lock()
 	r.pruneLocked(now)
-	if j, ok := r.jobs[id]; ok {
-		r.refreshLocked(j, now)
-		snap := snapshotOf(j)
+	if j, ok := r.jobs[id]; ok && r.convergesLocked(j, now) {
+		h := r.handleLocked(j)
 		r.mu.Unlock()
-		return snap, false, nil
+		return h, false, nil
 	}
 	r.mu.Unlock()
 
@@ -370,7 +388,7 @@ func (r *Registry) SubmitTraced(spec thermflow.JobSpec, lim Limits, sc trace.Spa
 	// both parse, but only one registers (re-checked below).
 	cjob, err := spec.CompileJob()
 	if err != nil {
-		return Snapshot{}, false, err
+		return Handle{}, false, err
 	}
 	var specJSON []byte
 	if r.log != nil {
@@ -381,17 +399,17 @@ func (r *Registry) SubmitTraced(spec thermflow.JobSpec, lim Limits, sc trace.Spa
 	now = r.clock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if j, ok := r.jobs[id]; ok {
-		r.refreshLocked(j, now)
-		return snapshotOf(j), false, nil
+	old, replacing := r.jobs[id]
+	if replacing && r.convergesLocked(old, now) {
+		return r.handleLocked(old), false, nil
 	}
-	for len(r.jobs) >= r.max {
+	for !replacing && len(r.jobs) >= r.max {
 		if !r.evictOldestTerminalLocked() {
-			return Snapshot{}, false, ErrBusy
+			return Handle{}, false, ErrBusy
 		}
 	}
 	if err := r.admitLocked(now, spec.Priority, lim); err != nil {
-		return Snapshot{}, false, err
+		return Handle{}, false, err
 	}
 	r.seq++
 	j := &job{
@@ -406,12 +424,28 @@ func (r *Registry) SubmitTraced(spec thermflow.JobSpec, lim Limits, sc trace.Spa
 	if spec.Deadline > 0 {
 		j.deadline = now.Add(spec.Deadline)
 	}
+	// A failed or expired job under id is replaced; its Handles keep
+	// it, and retention skips an entry it no longer owns.
 	r.jobs[id] = j
 	heap.Push(&r.queue, j)
 	r.ownerDeltaLocked(j.owner, +1, 0)
 	r.logSubmitLocked(j)
 	r.dispatchLocked()
-	return snapshotOf(j), true, nil
+	return r.handleLocked(j), true, nil
+}
+
+// convergesLocked reports whether a new submit of j's spec is answered
+// by j: true while j is live or done, false once it failed or expired
+// (see Submit). A deadline that passed by now expires j first.
+func (r *Registry) convergesLocked(j *job, now time.Time) bool {
+	r.refreshLocked(j, now)
+	return !j.state.Terminal() || j.state == StateDone
+}
+
+// handleLocked wraps j's current snapshot into the Handle a submit
+// returns.
+func (r *Registry) handleLocked(j *job) Handle {
+	return Handle{Snapshot: snapshotOf(j), r: r, j: j}
 }
 
 // admitLocked is pool admission control, run once per genuinely new
@@ -611,54 +645,6 @@ func (r *Registry) expiryTimer(j *job) Timer {
 		defer r.mu.Unlock()
 		r.refreshLocked(j, r.clock())
 	})
-}
-
-// Stream runs specs through the engine under the caller's context,
-// emitting one snapshot per spec in completion order — the batch
-// endpoint's backbone. The jobs are request-scoped
-// and unregistered; emit runs on engine workers and must be safe for
-// concurrent use. Specs sharing an ID with a registered job still
-// share its computation through the engine's single-flight layer.
-// Per-spec deadlines and priorities are not applied here: a batch is
-// one request with one context. Returns the IDs, one per spec.
-func (r *Registry) Stream(ctx context.Context, specs []thermflow.JobSpec, emit func(int, Snapshot)) ([]string, error) {
-	ids := make([]string, len(specs))
-	cjobs := make([]thermflow.CompileJob, len(specs))
-	for i, spec := range specs {
-		id, err := spec.ID()
-		if err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
-		}
-		cjob, err := spec.CompileJob()
-		if err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
-		}
-		ids[i], cjobs[i] = id, cjob
-	}
-	start := r.clock()
-	r.b.CompileStream(ctx, cjobs, func(i int, res thermflow.CompileResult) {
-		snap := Snapshot{ID: ids[i], State: StateRunning,
-			Submitted: start, Started: start, Finished: r.clock()}
-		finishSnapshot(&snap, res)
-		emit(i, snap)
-	})
-	return ids, nil
-}
-
-// finishSnapshot folds a compile result into a terminal snapshot.
-func finishSnapshot(snap *Snapshot, res thermflow.CompileResult) {
-	snap.Cached = res.Cached
-	switch {
-	case res.Err == nil:
-		snap.State = StateDone
-		snap.Compiled = res.Compiled
-	case errors.Is(res.Err, context.DeadlineExceeded) && !snap.Deadline.IsZero():
-		snap.State = StateExpired
-		snap.Err = res.Err
-	default:
-		snap.State = StateFailed
-		snap.Err = res.Err
-	}
 }
 
 // dispatchLocked starts queued jobs while slots are free, highest

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"thermflow"
+	"thermflow/internal/trace"
 )
 
 type fakeClock struct {
@@ -146,6 +147,15 @@ func TestFailedJob(t *testing.T) {
 	if final.State != StateFailed || final.Err == nil || final.Compiled != nil {
 		t.Fatalf("final snapshot: %+v", final)
 	}
+	// A new submit of the spec runs it again (the engine's failure
+	// cache answers it) rather than converging on the failure.
+	again, created, err := r.Submit(spec)
+	if err != nil || !created || again.ID != snap.ID {
+		t.Fatalf("resubmit after failure: %+v created=%v, %v; want a fresh job", again, created, err)
+	}
+	if final, err := r.Wait(context.Background(), snap.ID); err != nil || final.State != StateFailed {
+		t.Fatalf("resubmitted failing job: %+v, %v", final, err)
+	}
 }
 
 // A job still queued when its deadline passes expires without running,
@@ -193,6 +203,16 @@ func TestQueuedJobExpires(t *testing.T) {
 	slowID, _ := slowSpec(t, 0).ID()
 	if s, err := r.Wait(context.Background(), slowID); err != nil || s.State != StateDone {
 		t.Fatalf("occupying job: %+v, %v", s, err)
+	}
+	// The deadline belonged to that submit: a new submit of the spec
+	// without one registers a fresh job under the same ID, which runs.
+	spec.Deadline = 0
+	again, created, err := r.Submit(spec)
+	if err != nil || !created || again.ID != snap.ID || !again.Deadline.IsZero() {
+		t.Fatalf("resubmit after expiry: %+v created=%v, %v; want a fresh job", again, created, err)
+	}
+	if s, err := r.Wait(context.Background(), snap.ID); err != nil || s.State != StateDone {
+		t.Fatalf("resubmitted job: %+v, %v", s, err)
 	}
 }
 
@@ -348,48 +368,34 @@ func TestUnknownJob(t *testing.T) {
 	}
 }
 
-// Stream emits one terminal snapshot per spec with stable IDs, sharing
-// cache entries with registered work.
-func TestStream(t *testing.T) {
-	b := thermflow.NewBatch(2)
-	r := New(b, Config{})
+// A Handle waits on the job it was returned for, not on its ID: after
+// retention evicted the finished job to make room, Wait by ID is
+// ErrNotFound but the submitter's Handle still answers with the result.
+func TestHandleWaitOutlivesEviction(t *testing.T) {
+	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, MaxJobs: 1})
 	defer r.Close()
 
-	specs := []thermflow.JobSpec{
-		kernelSpec(t, "dot", thermflow.Options{}),
-		kernelSpec(t, "fir", thermflow.Options{}),
-		kernelSpec(t, "dot", thermflow.Options{}),                   // duplicate of 0
-		kernelSpec(t, "dot", thermflow.Options{GridW: 2, GridH: 2}), // fails
+	h, created, err := r.SubmitTraced(kernelSpec(t, "dot", thermflow.Options{}), Limits{}, trace.SpanContext{})
+	if err != nil || !created {
+		t.Fatalf("submit: created %v, %v", created, err)
 	}
-	var mu sync.Mutex
-	got := make(map[int]Snapshot)
-	ids, err := r.Stream(context.Background(), specs, func(i int, s Snapshot) {
-		mu.Lock()
-		got[i] = s
-		mu.Unlock()
-	})
+	if _, err := r.Wait(context.Background(), h.ID); err != nil {
+		t.Fatal(err)
+	}
+	// The registry holds one job: the next submit evicts the finished one.
+	next, _, err := r.Submit(kernelSpec(t, "fir", thermflow.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(specs) || len(ids) != len(specs) {
-		t.Fatalf("got %d snapshots, %d ids for %d specs", len(got), len(ids), len(specs))
+	if _, err := r.Wait(context.Background(), h.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Wait by evicted ID: %v, want ErrNotFound", err)
 	}
-	if ids[0] != ids[2] || ids[0] == ids[1] {
-		t.Errorf("ids: %v", ids)
+	got, err := h.Wait(context.Background())
+	if err != nil || got.ID != h.ID || got.State != StateDone || got.Compiled == nil {
+		t.Fatalf("Handle.Wait after eviction: %+v, %v; want the done job", got, err)
 	}
-	for i, s := range got {
-		if s.ID != ids[i] {
-			t.Errorf("snapshot %d carries ID %s, want %s", i, s.ID, ids[i])
-		}
-	}
-	if got[0].State != StateDone || got[1].State != StateDone || got[2].State != StateDone {
-		t.Errorf("states: %v %v %v", got[0].State, got[1].State, got[2].State)
-	}
-	if !got[2].Cached {
-		t.Error("duplicate spec not served from cache")
-	}
-	if got[3].State != StateFailed || got[3].Err == nil {
-		t.Errorf("failing spec: %+v", got[3])
+	if _, err := r.Wait(context.Background(), next.ID); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -482,6 +488,21 @@ func TestAdmissionWatermarkAndDisplacement(t *testing.T) {
 	}
 	if st.ShedByClass["batch"] != 1 || st.ShedByClass["none"] != 3 {
 		t.Errorf("shed attribution: %v", st.ShedByClass)
+	}
+
+	// The displaced job does not answer a new submit of its spec: one
+	// refused at the cap leaves its record as it was, and one that
+	// outranks the queue registers a fresh job under its ID.
+	if _, _, err := r.Submit(prioritySpec(t, 1, 5)); !errors.Is(err, ErrShed) {
+		t.Fatalf("tied-priority resubmit of the displaced job: %v, want ErrShed", err)
+	}
+	if got, err := r.Get(victimSnap.ID); err != nil || got.State != StateFailed {
+		t.Fatalf("displaced job after a refused resubmit: %+v, %v; want it still failed", got, err)
+	}
+	retry := prioritySpec(t, 1, 30)
+	again, created, err := r.Submit(retry)
+	if err != nil || !created || again.ID != victimSnap.ID || again.State != StateQueued {
+		t.Fatalf("resubmit after displacement: %+v created=%v, %v; want a fresh queued job", again, created, err)
 	}
 	_ = victim
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"time"
 
@@ -202,6 +203,12 @@ func (r *Registry) replayLocked(rec joblog.Recovery) {
 		}
 		switch wr.Type {
 		case recSubmit:
+			if have, ok := byID[p.ID]; ok && have.State.Terminal() {
+				// A later submit registered a fresh job over a
+				// terminal one (failed, expired or pruned).
+				delete(byID, p.ID)
+				order = slices.DeleteFunc(order, func(id string) bool { return id == p.ID })
+			}
 			upsert(p)
 		case recStart:
 			if j, ok := byID[p.ID]; ok && !j.State.Terminal() {

@@ -114,6 +114,43 @@ func TestReplayRestoresTerminalResults(t *testing.T) {
 	}
 }
 
+// A job registered over an expired one under the same ID is what the
+// log replays, not the expired one it replaced.
+func TestReplayKeepsJobRegisteredOverExpiredOne(t *testing.T) {
+	dirs := newDurableDirs(t)
+	clk := newFakeClock()
+	r1, l1 := dirs.open(t, Config{Concurrency: 1, Clock: clk.Now})
+
+	if _, _, err := r1.Submit(slowSpec(t, 0)); err != nil { // holds the only slot
+		t.Fatal(err)
+	}
+	spec := fastSpec(t, 0)
+	hasty := spec
+	hasty.Deadline = 10 * time.Millisecond
+	first, _, err := r1.Submit(hasty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(20 * time.Millisecond)
+	if got, _ := r1.Get(first.ID); got.State != StateExpired {
+		t.Fatalf("deadlined job: %+v, want expired", got)
+	}
+	if _, created, err := r1.Submit(spec); err != nil || !created {
+		t.Fatalf("resubmit after expiry: created=%v, %v", created, err)
+	}
+	if snap := waitDone(t, r1, first.ID); snap.State != StateDone {
+		t.Fatalf("fresh job: %+v", snap)
+	}
+	crash(r1, l1)
+
+	r2, l2 := dirs.open(t, Config{Clock: clk.Now})
+	defer crash(r2, l2)
+	got, err := r2.Get(first.ID)
+	if err != nil || got.State != StateDone || got.Compiled == nil {
+		t.Fatalf("replayed job: %+v, %v; want the fresh job, done", got, err)
+	}
+}
+
 // Jobs that were queued or running when the process died re-enter the
 // queue on replay and run to completion.
 func TestReplayRequeuesLiveJobs(t *testing.T) {

@@ -12,21 +12,24 @@ import (
 	"thermflow/client"
 )
 
+// newDiskServer serves an engine with a disk tier in dir over a
+// noRetention registry, so repeats reach the tiers.
 func newDiskServer(t *testing.T, dir string, workers int) (*httptest.Server, *thermflow.Batch) {
 	t.Helper()
 	b, err := thermflow.NewBatchConfig(thermflow.BatchConfig{Workers: workers, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(b))
-	t.Cleanup(ts.Close)
+	srv := NewConfig(b, noRetention)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return ts, b
 }
 
 // GET /v2/stats must expose both cache tiers; without -cache-dir the
 // disk tier reports disabled and all-zero.
 func TestCacheStatsReportTiers(t *testing.T) {
-	ts, _ := newTestServer(t, 2)
+	ts, _ := newJobsServer(t, 2, noRetention)
 	cl := client.New(ts.URL, nil)
 	for i := 0; i < 2; i++ {
 		compileOne(t, cl, api.JobRequest{Kernel: "dot"})

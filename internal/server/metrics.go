@@ -48,7 +48,7 @@ func NewMetrics() *Metrics {
 			"HTTP requests currently being served."),
 		admission: reg.CounterVec("thermflow_admission_total",
 			"Admission decisions, by tenant class and decision (admitted, "+
-				"converged, rate_limited, concurrency, tenant_queue, shed, busy).",
+				"converged, rate_limited, tenant_queue, shed, busy).",
 			"tenant_class", "decision"),
 		tenantLatency: reg.HistogramVec("thermflow_tenant_request_seconds",
 			"HTTP request latency in seconds, by resolved tenant. Cardinality "+

@@ -11,11 +11,12 @@ import (
 )
 
 // newMetricsServer builds a full middleware-wrapped server with
-// metrics wired exactly as cmd/thermflowd wires them.
-func newMetricsServer(t *testing.T) (*httptest.Server, *Metrics) {
+// metrics wired exactly as cmd/thermflowd wires them, over cfg.
+func newMetricsServer(t *testing.T, cfg Config) (*httptest.Server, *Metrics) {
 	t.Helper()
 	m := NewMetrics()
-	s := NewConfig(thermflow.NewBatch(1), Config{Metrics: m})
+	cfg.Metrics = m
+	s := NewConfig(thermflow.NewBatch(1), cfg)
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(Chain(s,
 		WithRequestID(),
@@ -47,7 +48,7 @@ func scrape(t *testing.T, baseURL string) string {
 }
 
 func TestMetricsEndpointServesRequestSeries(t *testing.T) {
-	ts, _ := newMetricsServer(t)
+	ts, _ := newMetricsServer(t, Config{})
 
 	// Drive one batch compile, one unknown route, and the scrape itself.
 	status, _ := post(t, ts.URL+"/v2/batch", `{"jobs":[{"kernel":"dot"}]}`)
@@ -74,7 +75,7 @@ func TestMetricsEndpointServesRequestSeries(t *testing.T) {
 }
 
 func TestMetricsEngineAndSolverSeries(t *testing.T) {
-	ts, _ := newMetricsServer(t)
+	ts, _ := newMetricsServer(t, noRetention)
 
 	// Same kernel twice: one miss (compiled, one solver run), one hit.
 	for i := 0; i < 2; i++ {

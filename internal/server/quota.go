@@ -14,12 +14,12 @@ import (
 
 // This file is the tenancy-aware half of the middleware stack:
 // WithQuotas resolves every request's bearer token to a tenant.Profile
-// and enforces the profile's own envelope — rate bucket and in-flight
-// concurrency — answering 429 when the tenant exceeds it. Pool-level
-// saturation is deliberately NOT decided here: that is the jobs
-// registry's admission control, which answers 503. The two statuses
-// attribute blame: 429 means "you, specifically, slow down"; 503 means
-// "the shared pool is full, whoever you are".
+// and charges the profile's rate bucket, answering 429 when the tenant
+// exceeds it. The rest of the profile — class, queue and run caps — is
+// applied per job by the jobs registry's admission control
+// (Server.submit), which also answers 503 when the shared pool is
+// full. The statuses attribute blame: 429 means "you, specifically,
+// slow down"; 503 means "the shared pool is full, whoever you are".
 
 // TenantHeader carries a resolved tenant name from a gateway to its
 // backends. The gateway stamps it on every proxied request from the
@@ -79,13 +79,12 @@ type QuotaConfig struct {
 
 // WithQuotas enforces per-tenant admission at the HTTP edge: each
 // request resolves to a tenant.Profile (by bearer token, or by the
-// gateway-stamped TenantHeader when trusted), pays one token from the
-// profile's rate bucket, and — on the compute endpoints — holds one of
-// the profile's MaxConcurrent slots for its duration. Rejections are
-// 429 with Retry-After (in ceiled seconds): the tenant exceeded its own
-// envelope. The resolved profile rides the request context
-// (TenantProfile) so the job layer can apply the profile's class and
-// queue caps without re-resolving. Quota hot-reloads
+// gateway-stamped TenantHeader when trusted) and pays one token from
+// the profile's rate bucket. Rejections are 429 with Retry-After (in
+// ceiled seconds): the tenant exceeded its own envelope. The resolved
+// profile rides the request context (TenantProfile) so the job layer
+// can apply the profile's class and queue/run caps without
+// re-resolving. Quota hot-reloads
 // (tenant.Source.Reload, SIGHUP) take effect on the next request;
 // in-flight requests finish under the profile they entered with.
 func WithQuotas(cfg QuotaConfig) Middleware {
@@ -106,9 +105,6 @@ func WithQuotas(cfg QuotaConfig) Middleware {
 			})
 		})
 	}
-
-	var mu sync.Mutex
-	inflight := make(map[string]int)
 
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -135,30 +131,6 @@ func WithQuotas(cfg QuotaConfig) Middleware {
 						"rate limit exceeded; retry in %ds", secs)
 					return
 				}
-			}
-
-			if p.MaxConcurrent > 0 && isComputeRequest(r) {
-				mu.Lock()
-				n := inflight[key]
-				if n >= p.MaxConcurrent {
-					mu.Unlock()
-					cfg.Metrics.IncAdmission(string(p.Class), "concurrency")
-					w.Header().Set("Retry-After", "1")
-					WriteErr(w, http.StatusTooManyRequests,
-						"tenant concurrency limit (%d in flight) exceeded; retry in 1s", p.MaxConcurrent)
-					return
-				}
-				inflight[key] = n + 1
-				mu.Unlock()
-				defer func() {
-					mu.Lock()
-					if inflight[key] <= 1 {
-						delete(inflight, key)
-					} else {
-						inflight[key]--
-					}
-					mu.Unlock()
-				}()
 			}
 
 			ctx := context.WithValue(r.Context(), tenantKey, p)
@@ -208,19 +180,11 @@ func burstOf(p *tenant.Profile) float64 {
 	return math.Max(1, 2*p.Rate)
 }
 
-// isComputeRequest marks the synchronous endpoint whose whole duration
-// is compute — the batch stream — which MaxConcurrent slots meter. The
-// async submit path is metered at the registry instead (queued and
-// running caps), where a slot actually means engine work.
-func isComputeRequest(r *http.Request) bool {
-	return r.Method == http.MethodPost && r.URL.Path == "/v2/batch"
-}
-
-// isJobRequest marks the endpoints that hand the engine work — the
-// batch stream plus the async submit — for the per-tenant served-jobs
+// isJobRequest marks the endpoints that submit jobs — the async
+// submit and the batch stream — for the per-tenant served-jobs
 // counter.
 func isJobRequest(r *http.Request) bool {
-	return isComputeRequest(r) || (r.Method == http.MethodPost && r.URL.Path == "/v2/jobs")
+	return r.Method == http.MethodPost && (r.URL.Path == "/v2/jobs" || r.URL.Path == "/v2/batch")
 }
 
 // maxRateClients bounds the rate limiter's per-client bucket map; at

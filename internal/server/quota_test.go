@@ -229,56 +229,6 @@ func TestTenantBucketEvictionOnQuotaReload(t *testing.T) {
 	}
 }
 
-// MaxConcurrent: the batch stream holds a tenant slot for its
-// duration; the request over the cap is 429 with Retry-After, and
-// finishing a request frees the slot.
-func TestQuotaConcurrencyLimit(t *testing.T) {
-	src, err := tenant.Parse([]byte(
-		`{"tenants": [{"name": "acme", "tokens": ["tok"], "max_concurrent": 1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	entered := make(chan struct{}, 8)
-	release := make(chan struct{})
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			entered <- struct{}{}
-			<-release
-		}
-		w.WriteHeader(http.StatusOK)
-	})
-	ts := httptest.NewServer(Chain(slow, WithQuotas(QuotaConfig{Quotas: src, ByToken: true})))
-	defer ts.Close()
-
-	post := func() *http.Response {
-		return doReq(t, http.MethodPost, ts.URL+"/v2/batch", "tok")
-	}
-	first := make(chan int, 1)
-	go func() { first <- post().StatusCode }()
-	<-entered
-
-	resp := post()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second concurrent compute: %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("concurrency 429 missing Retry-After")
-	}
-	// Non-compute requests are not metered by MaxConcurrent.
-	if got := doReq(t, http.MethodGet, ts.URL+"/v2/stats", "tok").StatusCode; got != http.StatusOK {
-		t.Fatalf("GET under a full compute slot: %d, want 200", got)
-	}
-
-	close(release)
-	if got := <-first; got != http.StatusOK {
-		t.Fatalf("first request finished %d", got)
-	}
-	// The slot was released: the next compute passes.
-	if got := post().StatusCode; got != http.StatusOK {
-		t.Fatalf("compute after release: %d, want 200", got)
-	}
-}
-
 // The gateway-stamped tenant header is honored only when trusted, and
 // only for tokens that do not already resolve to a named tenant.
 func TestTrustTenantHeader(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"thermflow"
 	"thermflow/api"
 	"thermflow/internal/jobs"
 	"thermflow/internal/tenant"
@@ -67,15 +68,10 @@ func statusCode(snap jobs.Snapshot) int {
 }
 
 // handleJobSubmit is POST /v2/jobs: canonicalize, register, return the
-// handle without waiting. A spec already registered answers 200 with
-// the existing job — duplicate submits converge by content identity.
-//
-// Under WithQuotas the request carries a tenant profile: the tenant's
-// class folds into the scheduler priority (class dominates, the
-// client's priority field breaks ties within it) and the profile's
-// queue/run caps ride into registry admission. Rejections attribute
-// blame — 429 when the tenant is over its own queue quota, 503 with
-// Retry-After when the shared pool shed the work or is at capacity.
+// handle without waiting — 202 for a new job, 200 for a submit that
+// converged on an existing one. Refusals attribute blame: 429 when the
+// tenant is over its own queue quota, 503 with Retry-After when the
+// shared pool shed the work or is at capacity.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.JobRequest
 	if !decode(w, r, &req) {
@@ -86,27 +82,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	var lim jobs.Limits
-	if p := TenantProfile(r); p != nil {
-		spec.Priority = tenant.EffectivePriority(p.Class, req.Priority)
-		lim = jobs.Limits{
-			Owner: p.Name, Class: string(p.Class),
-			MaxQueued: p.MaxQueue, MaxRunning: p.MaxConcurrent,
-		}
-	}
-	snap, created, err := s.jobs.SubmitTraced(spec, lim, TraceContext(r))
+	h, created, err := s.submit(r, spec)
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrQuota):
-			s.metrics.IncAdmission(lim.Class, "tenant_queue")
 			w.Header().Set("Retry-After", "1")
 			WriteErr(w, http.StatusTooManyRequests, "%v", err)
 		case errors.Is(err, jobs.ErrShed):
-			s.metrics.IncAdmission(lim.Class, "shed")
 			w.Header().Set("Retry-After", "2")
 			WriteErr(w, http.StatusServiceUnavailable, "%v", err)
 		case errors.Is(err, jobs.ErrBusy):
-			s.metrics.IncAdmission(lim.Class, "busy")
 			w.Header().Set("Retry-After", "1")
 			WriteErr(w, http.StatusServiceUnavailable, "%v", err)
 		default:
@@ -114,15 +99,45 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	decision := "converged"
 	status := http.StatusOK
 	if created {
-		decision = "admitted"
 		status = http.StatusAccepted
 	}
-	s.metrics.IncAdmission(lim.Class, decision)
-	AnnotateJob(r, snap.ID)
-	WriteJSON(w, status, jobStatus(snap))
+	AnnotateJob(r, h.ID)
+	WriteJSON(w, status, jobStatus(h.Snapshot))
+}
+
+// submit registers one job for r — a POST /v2/jobs body or one
+// /v2/batch item — under the request's span and, with WithQuotas, its
+// tenant profile: the tenant's class folds into the scheduler priority
+// (class dominates, the job's own priority breaks ties within it) and
+// the profile's queue/run caps ride into registry admission. Every
+// decision is counted. A submit that converged on an existing job is
+// answered Cached: its result is that job's, not new work.
+func (s *Server) submit(r *http.Request, spec thermflow.JobSpec) (jobs.Handle, bool, error) {
+	var lim jobs.Limits
+	if p := TenantProfile(r); p != nil {
+		spec.Priority = tenant.EffectivePriority(p.Class, spec.Priority)
+		lim = jobs.Limits{
+			Owner: p.Name, Class: string(p.Class),
+			MaxQueued: p.MaxQueue, MaxRunning: p.MaxConcurrent,
+		}
+	}
+	h, created, err := s.jobs.SubmitTraced(spec, lim, TraceContext(r))
+	switch {
+	case err == nil && created:
+		s.metrics.IncAdmission(lim.Class, "admitted")
+	case err == nil:
+		s.metrics.IncAdmission(lim.Class, "converged")
+		h.Cached = true
+	case errors.Is(err, jobs.ErrQuota):
+		s.metrics.IncAdmission(lim.Class, "tenant_queue")
+	case errors.Is(err, jobs.ErrShed):
+		s.metrics.IncAdmission(lim.Class, "shed")
+	case errors.Is(err, jobs.ErrBusy):
+		s.metrics.IncAdmission(lim.Class, "busy")
+	}
+	return h, created, err
 }
 
 // handleJobGet is GET /v2/jobs/{id}: one snapshot, no waiting. An ID
@@ -226,12 +241,20 @@ func (s *Server) handleJobWait(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, statusCode(snap), jobStatus(snap))
 }
 
-// handleJobsBatch is POST /v2/batch: one request-scoped NDJSON stream,
-// items keyed by index and job ID — the form a sharding front server
-// can fan out and re-merge, since IDs are stable across backends. The
-// mutex orders concurrent engine workers; a write failure means the
-// client disconnected — the request context is cancelled and the
-// stream just drains.
+// handleJobsBatch is POST /v2/batch: each item is submitted as
+// POST /v2/jobs submits one, and the answers stream back as NDJSON
+// keyed by index and job ID — the form a sharding front server can
+// fan out and re-merge, since IDs are stable across backends. A
+// refused item (tenant quota, shed) is answered at once with the
+// refusal in its error field; an admitted one when its job ends,
+// waited on through its Handle because retention may evict the ID
+// first. A registry full of live jobs (busy) makes room each time one
+// of the batch's own jobs ends, so the batch waits for that and
+// retries: a batch larger than the registry still runs whole, and an
+// item is answered busy only when none of its batch's jobs is left to
+// wait for. A client that goes away ends the stream and the submits
+// still waiting for room, not the jobs: they run on and stay readable
+// by ID.
 func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.JobsBatchRequest
 	if !decode(w, r, &req) {
@@ -246,18 +269,54 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	var mu sync.Mutex
 	enc := json.NewEncoder(w)
-	_, _ = s.jobs.Stream(r.Context(), specs, func(i int, snap jobs.Snapshot) {
-		item := api.JobItem{Index: i, ID: snap.ID}
-		if snap.Err != nil {
-			item.Error = failureMessage(snap.Err)
-		} else {
-			item.Result = api.ResponseFor(snap.Compiled, snap.Cached)
-		}
+	emit := func(item api.JobItem) {
 		mu.Lock()
 		defer mu.Unlock()
 		_ = enc.Encode(item)
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}) // specs pre-validated
+	}
+	var wg sync.WaitGroup
+	ended := make(chan struct{}, len(specs)) // one token per admitted item's end
+	admitted, drained := 0, 0
+	for i, spec := range specs {
+		h, _, err := s.submit(r, spec)
+		for errors.Is(err, jobs.ErrBusy) && drained < admitted {
+			select {
+			case <-ended:
+				drained++
+			case <-r.Context().Done():
+				wg.Wait()
+				return
+			}
+			h, _, err = s.submit(r, spec)
+		}
+		if err != nil {
+			id, _ := spec.ID()
+			emit(api.JobItem{Index: i, ID: id, Error: err.Error()})
+			continue
+		}
+		// One waiter per admitted item, ended by its job or by the
+		// client going away; the registry's MaxJobs bounds the live jobs.
+		admitted++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { ended <- struct{}{} }()
+			snap, err := h.Wait(r.Context())
+			if err != nil {
+				return // client gone
+			}
+			snap.Cached = snap.Cached || h.Cached // converged at submit
+			item := api.JobItem{Index: i, ID: snap.ID}
+			if snap.Err != nil {
+				item.Error = failureMessage(snap.Err)
+			} else {
+				item.Result = api.ResponseFor(snap.Compiled, snap.Cached)
+			}
+			emit(item)
+		}()
+	}
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"thermflow"
 	"thermflow/api"
+	"thermflow/client"
 	"thermflow/internal/jobs"
 	"thermflow/internal/tenant"
 )
@@ -264,17 +266,18 @@ func TestV2BatchStreamKeyedByJobID(t *testing.T) {
 		t.Error("successful jobs missing results")
 	}
 
-	// The stream's IDs are the same identities /v2/jobs mints.
+	// The stream's items are the jobs /v2/jobs registers: the same
+	// submit converges on the batch's finished job.
 	var handle api.JobStatus
-	if status := postJSON(t, ts.URL+"/v2/jobs", api.JobRequest{Kernel: "dot"}, &handle); status != http.StatusAccepted {
-		t.Fatalf("submit status = %d", status)
+	if status := postJSON(t, ts.URL+"/v2/jobs", api.JobRequest{Kernel: "dot"}, &handle); status != http.StatusOK {
+		t.Fatalf("submit after batch: status = %d, want 200 (converged)", status)
 	}
 	if handle.ID != items[0].ID {
 		t.Errorf("batch ID %s != submit ID %s", items[0].ID, handle.ID)
 	}
-	var final api.JobStatus
-	if getJSON(t, ts.URL+"/v2/jobs/"+handle.ID+"/wait", &final); final.State != "done" || !final.Cached {
-		t.Errorf("submit after batch not served from the shared cache: %+v", final)
+	if handle.State != "done" || !handle.Cached || handle.Result == nil ||
+		handle.Result.PeakTemp != items[0].Result.PeakTemp {
+		t.Errorf("submit after batch did not converge on the batch's job: %+v", handle)
 	}
 }
 
@@ -445,5 +448,162 @@ func TestV2SubmitTenantAdmission(t *testing.T) {
 	code, _, hdr = submit(5, "low-token")
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Errorf("shed submit: %d (Retry-After %q), want 503", code, hdr.Get("Retry-After"))
+	}
+}
+
+// Batch items are registry jobs under the tenant's admission bounds.
+// A batch-class tenant (max_queue 1, max_concurrent 1) sends 8 slow
+// jobs to a registry that runs 1 at a time over 4 engine workers: the
+// first runs, the second queues, the other 6 are answered at once with
+// the quota error, the engine never compiles 2 at once, and both
+// admitted items are readable by ID afterwards. A second tenant's item
+// whose deadline passes while it waits behind them expires.
+func TestBatchItemsAreRegistryJobs(t *testing.T) {
+	quotas, err := tenant.Parse([]byte(`{
+		"tenants": [
+			{"name": "bulk", "class": "batch", "max_queue": 1, "max_concurrent": 1, "tokens": ["bulk-token"]},
+			{"name": "gold", "class": "critical", "tokens": ["gold-token"]}
+		]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewConfig(thermflow.NewBatch(4), Config{Jobs: jobs.Config{Concurrency: 1, MaxQueue: 2}})
+	ts := httptest.NewServer(Chain(srv, WithQuotas(QuotaConfig{Quotas: quotas})))
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	// Sample the engine's in-flight compiles for the whole test.
+	stop := make(chan struct{})
+	maxInflight := make(chan int, 1)
+	go func() {
+		most := 0
+		for {
+			select {
+			case <-stop:
+				maxInflight <- most
+				return
+			default:
+			}
+			most = max(most, srv.Batch().Inflight())
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
+	postBatch := func(token string, reqs []api.JobRequest) *bufio.Scanner {
+		t.Helper()
+		body, err := json.Marshal(api.JobsBatchRequest{Jobs: reqs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/batch", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+token)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status = %s, want 200", resp.Status)
+		}
+		return bufio.NewScanner(resp.Body)
+	}
+	next := func(sc *bufio.Scanner) (api.JobItem, bool) {
+		t.Helper()
+		if !sc.Scan() {
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			return api.JobItem{}, false
+		}
+		var item api.JobItem
+		if err := json.Unmarshal(sc.Bytes(), &item); err != nil {
+			t.Fatalf("line %q: %v", sc.Text(), err)
+		}
+		return item, true
+	}
+
+	const n = 8
+	reqs := make([]api.JobRequest, n)
+	for i := range reqs {
+		// A lighter occupier (κ≈1): it still holds the slot across every
+		// submit below, and both admitted items run to done quickly.
+		reqs[i] = occupyingJob(i)
+		reqs[i].Options.Kappa += 0.75
+	}
+	bulk := postBatch("bulk-token", reqs)
+	items := make(map[int][]api.JobItem)
+	first, ok := next(bulk)
+	if !ok {
+		t.Fatal("batch stream ended before its first item")
+	}
+	items[first.Index] = append(items[first.Index], first)
+
+	// While the first bulk job holds the only slot, gold's item queues
+	// behind it and its 1 ms deadline passes there.
+	gold := postBatch("gold-token", []api.JobRequest{{Kernel: "dot", DeadlineMS: 1}})
+	expired, ok := next(gold)
+	if !ok {
+		t.Fatal("deadline batch answered nothing")
+	}
+	if !strings.Contains(expired.Error, "deadline") || expired.Result != nil {
+		t.Errorf("item whose deadline passed while queued: %+v, want an error naming the deadline", expired)
+	}
+
+	for item, ok := next(bulk); ok; item, ok = next(bulk) {
+		items[item.Index] = append(items[item.Index], item)
+	}
+	close(stop)
+	if most := <-maxInflight; most > 1 {
+		t.Errorf("engine ran %d compiles at once, want at most the registry's concurrency of 1", most)
+	}
+
+	for i := 0; i < n; i++ {
+		if len(items[i]) != 1 {
+			t.Fatalf("item %d answered %d times, want exactly once", i, len(items[i]))
+		}
+		item := items[i][0]
+		if i >= 2 {
+			// Over the tenant's queue cap: refused at once, never a job.
+			if !strings.Contains(item.Error, jobs.ErrQuota.Error()) || item.Result != nil {
+				t.Errorf("item %d over the queue cap: %+v, want the tenant-quota error", i, item)
+			}
+			continue
+		}
+		if item.Error != "" || item.Result == nil {
+			t.Fatalf("admitted item %d: %+v, want a result", i, item)
+		}
+		var st api.JobStatus
+		if code := getJSON(t, ts.URL+"/v2/jobs/"+item.ID, &st); code != http.StatusOK || st.State != "done" {
+			t.Errorf("GET admitted item %d: %d %+v, want 200 done", i, code, st)
+		}
+	}
+
+	// The deadline belonged to gold's submit: the retained expired job
+	// does not answer a later item of the same spec, which runs afresh.
+	again, ok := next(postBatch("gold-token", []api.JobRequest{{Kernel: "dot"}}))
+	if !ok || again.ID != expired.ID || again.Error != "" || again.Result == nil {
+		t.Errorf("item after the expired job: %+v, want its result", again)
+	}
+}
+
+// A batch larger than the registry runs whole: an item the registry
+// refuses as full waits for one of its batch's own jobs to end and is
+// submitted again, instead of being answered busy.
+func TestBatchLargerThanRegistryRunsWhole(t *testing.T) {
+	ts, _ := newJobsServer(t, 1, Config{Jobs: jobs.Config{Concurrency: 1, MaxJobs: 4}})
+	reqs := slowJobs(6)
+	got := make(map[int][]api.JobItem)
+	err := client.New(ts.URL, nil).CompileBatchJobs(context.Background(), reqs,
+		func(it api.JobItem) { got[it.Index] = append(got[it.Index], it) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range reqs {
+		if len(got[i]) != 1 || got[i][0].Error != "" || got[i][0].Result == nil {
+			t.Errorf("item %d: %+v, want one result", i, got[i])
+		}
 	}
 }

@@ -102,8 +102,8 @@ type Profile struct {
 	// MaxQueue caps how many of the tenant's jobs may wait in the v2
 	// registry queue at once (0 = unlimited).
 	MaxQueue int
-	// MaxConcurrent caps the tenant's simultaneously running jobs and
-	// its in-flight batch streams (0 = unlimited).
+	// MaxConcurrent caps the tenant's simultaneously running jobs; jobs
+	// over it wait queued (0 = unlimited).
 	MaxConcurrent int
 }
 
