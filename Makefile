@@ -1,21 +1,12 @@
 GO ?= go
 
-.PHONY: build test bench bench-persist bench-region serve smoke fuzz fmt vet ci
+.PHONY: build test serve smoke fuzz fmt vet ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
-
-# Records the batch-engine and solver benchmarks in BENCH_batch.json.
-bench:
-	sh scripts/bench_batch.sh
-
-# Records the persistent-cache warm-restart win in BENCH_persist.json
-# (full sweep, hard thermflowd restart over the same -cache-dir).
-bench-persist:
-	sh scripts/bench_persist.sh
 
 # Runs the analysis server on :8080 (override with ADDR=host:port).
 serve:
@@ -27,13 +18,6 @@ serve:
 # step). Cluster behaviour is tested in Go: go test ./internal/e2etest.
 smoke:
 	sh scripts/smoke.sh
-
-# Records the mega-module solver benchmarks (monolithic dense/sparse vs
-# partitioned exact and σ-slack region solves) in BENCH_region.json,
-# including rounds-to-fixpoint; parallel speedup fields are emitted
-# only on a >=4-cpu host.
-bench-region:
-	sh scripts/bench_region.sh
 
 # Short fuzz pass over the IR parsers, the JobSpec wire codec and the
 # WAL recovery path (the seed corpora alone run under plain

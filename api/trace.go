@@ -1,8 +1,7 @@
 // Distributed-tracing wire types: the JSON timeline served by
-// GET /v2/jobs/{id}/trace (backend and gateway alike) and the span a
-// backend returns inside a region-solve response so the coordinating
-// gateway can stitch per-region steps from many backends into one job
-// timeline. Trace identity travels in the X-Thermflow-Trace request
+// GET /v2/jobs/{id}/trace (backend and gateway alike; the gateway
+// merges its own edge spans into the owning backend's timeline).
+// Trace identity travels in the X-Thermflow-Trace request
 // header as "traceID-spanID" (32 and 16 lowercase hex chars); see
 // internal/trace for the span model and retention bounds.
 package api
@@ -17,8 +16,7 @@ type TraceSpan struct {
 	SpanID   string `json:"span_id"`
 	ParentID string `json:"parent_id,omitempty"`
 	// Name is the span's phase in the fixed taxonomy: http.server,
-	// job.queued, job.run, job.solve, region.coordinate, region.round,
-	// region.solve.
+	// job.queued, job.run, job.solve.
 	Name string `json:"name"`
 	// Service names the recording process ("thermflowd",
 	// "thermflowgate").
@@ -27,8 +25,8 @@ type TraceSpan struct {
 	// length.
 	StartUS    int64 `json:"start_us"`
 	DurationUS int64 `json:"duration_us"`
-	// Attrs carry small phase facts: region/round indexes, sweep
-	// counts, cache outcome, the backend that served a stitched span.
+	// Attrs carry small phase facts: route and status, queue outcome,
+	// solver and convergence, cache outcome.
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
@@ -37,8 +35,8 @@ type TraceSpan struct {
 type TraceResponse struct {
 	JobID   string `json:"job_id"`
 	TraceID string `json:"trace_id,omitempty"`
-	// Service names the process whose recorder answered (for a region
-	// job through the gateway, the gateway's stitched view).
+	// Service names the process whose recorder answered (through the
+	// gateway, the gateway's merged view).
 	Service string      `json:"service,omitempty"`
 	Spans   []TraceSpan `json:"spans"`
 	// Dropped counts spans beyond the per-job retention bound.

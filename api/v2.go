@@ -21,13 +21,6 @@ import "thermflow"
 // set; the server canonicalizes either into the job's content identity,
 // so a kernel reference and its printed IR are the same job.
 type JobRequest struct {
-	// Kind selects the execution plane: "" (or "compile") runs the job
-	// on one backend; "region" asks a gateway to cut the program into
-	// CFG regions and fan the fixpoint out across the backend pool,
-	// exchanging only boundary thermal states between rounds (see
-	// regions.go). Backends ignore the field — a region job reaching a
-	// backend directly just compiles whole. Not part of job identity.
-	Kind string `json:"kind,omitempty"`
 	// Kernel selects a built-in benchmark kernel by name.
 	Kernel string `json:"kernel,omitempty"`
 	// Program is a program in the textual IR syntax.
@@ -39,7 +32,9 @@ type JobRequest struct {
 
 	// DeadlineMS bounds the job's total lifetime from submission in
 	// milliseconds, queue wait included; 0 means none. A job that
-	// misses its deadline reports state "expired" (HTTP 504).
+	// misses its deadline reports state "expired" (HTTP 504). A submit
+	// that converges on a live job gives it the later of the two
+	// deadlines, none being the latest.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Priority orders queued jobs: higher runs earlier. Neither field
 	// is part of the job's identity.

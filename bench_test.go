@@ -146,8 +146,7 @@ func BenchmarkA2Join(b *testing.B) {
 	}
 }
 
-// --- batch engine and solver benchmarks (see scripts/bench_batch.sh,
-// which records these in BENCH_batch.json) ---
+// --- batch engine and solver benchmarks ---
 
 // fig1SweepJobs builds the Figure 1 policy sweep as batch jobs: the
 // same workload compiled under first-free, random (five assignment

@@ -277,8 +277,8 @@ func (c *Client) Job(ctx context.Context, id string) (*api.JobStatus, error) {
 }
 
 // JobTrace fetches a job's recorded timeline
-// (GET /v2/jobs/{id}/trace): the phase spans — queue wait, run, solver
-// passes, region rounds — stitched under one trace ID. Timelines are
+// (GET /v2/jobs/{id}/trace): the phase spans — server requests, queue
+// wait, run, solve — under one trace ID. Timelines are
 // bounded in-memory server state; a known job whose trace aged out (or
 // that was submitted untraced) answers 404.
 func (c *Client) JobTrace(ctx context.Context, id string) (*api.TraceResponse, error) {

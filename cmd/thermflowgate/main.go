@@ -23,10 +23,9 @@
 // file), tenant quotas, body and deadline caps.
 //
 // Tracing: the gateway propagates the sanitized X-Thermflow-Trace
-// context to every backend it proxies to, records region-coordination
-// spans of its own, stitches the per-round spans each backend returns
-// into one timeline, and serves the result at GET /v2/jobs/{id}/trace
-// (falling through to the owning backend for plain sharded jobs).
+// context to every backend it proxies to, records its own edge span
+// per request, and serves GET /v2/jobs/{id}/trace by fetching the
+// owning backend's timeline and merging its edge spans into it.
 //
 // -debug-addr starts a second listener serving net/http/pprof under
 // /debug/pprof/ plus /metrics. It has no auth and exposes process

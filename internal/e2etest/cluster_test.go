@@ -434,3 +434,83 @@ func TestClusterQuotaShedding(t *testing.T) {
 		}
 	}
 }
+
+// A body that still says kind "region" (the retired gateway fan-out)
+// is an ordinary job: the job API ignores the unknown field, so the
+// gateway routes it to its owner, the registry runs it, the ID is
+// readable through the gateway afterwards, and the in-process region
+// solver's exact mode gives the dense reference's peak. The backends'
+// region-step routes are gone.
+func TestRegionKindBodyIsRegistryJobThroughGateway(t *testing.T) {
+	c := NewCluster(t, Options{Backends: 2})
+	c.WaitRing(t, 2)
+
+	src := thermflow.GenerateMega(thermflow.MegaOptions{
+		Seed: 5, Arms: 4, Depth: 1, OpsPerBlock: 4, Pressure: 8, TripCount: 8,
+	}).Fn.String()
+	body, err := json.Marshal(map[string]any{
+		"kind":    "region",
+		"program": src,
+		"options": map[string]any{"solver": "region", "regions": 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.GatewayURL+"/v2/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	var st api.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || (resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK) {
+		t.Fatalf("submit: %s, %v (%+v)", resp.Status, err, st)
+	}
+
+	getStatus := func(path string) (int, api.JobStatus) {
+		t.Helper()
+		resp, err := http.Get(c.GatewayURL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var out api.JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("GET %s: %s, decoding: %v", path, resp.Status, err)
+		}
+		return resp.StatusCode, out
+	}
+	if code, got := getStatus("/v2/jobs/" + st.ID + "/wait?timeout_ms=120000"); code != http.StatusOK || got.State != "done" {
+		t.Fatalf("wait via gateway: %d, state %q, error %q; want 200 done", code, got.State, got.Error)
+	}
+	code, got := getStatus("/v2/jobs/" + st.ID)
+	if code != http.StatusOK || got.State != "done" || got.Result == nil {
+		t.Fatalf("GET via gateway: %d, state %q; want 200 done with a result", code, got.State)
+	}
+
+	p, err := thermflow.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := p.Compile(thermflow.Options{Solver: thermflow.SolverDense})
+	if err != nil {
+		t.Fatalf("dense reference: %v", err)
+	}
+	if got.Result.PeakTemp != dense.Thermal.PeakTemp {
+		t.Fatalf("peak %v K, dense reference %v K", got.Result.PeakTemp, dense.Thermal.PeakTemp)
+	}
+
+	// Backends serve no region-step routes.
+	for _, b := range c.Backends {
+		for _, path := range []string{"/v2/regions/solve", "/v2/regions/collect"} {
+			resp, err := http.Post(b.URL+path, "application/json", strings.NewReader("{}"))
+			if err != nil {
+				t.Fatalf("POST %s: %v", path, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("POST %s on a backend: %s, want 404", path, resp.Status)
+			}
+		}
+	}
+}

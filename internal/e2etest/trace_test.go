@@ -73,101 +73,6 @@ func waitTraced(t *testing.T, base, id string, sc trace.SpanContext, out *api.Jo
 	}
 }
 
-// TestRegionJobTraceStitchedAcrossBackends submits a region job through
-// the gateway under a client-minted trace and asserts the gateway's
-// stitched timeline is one trace spanning the whole pool: coordination
-// and round spans from the gateway, and region-solve spans recorded by
-// at least two distinct backends, all linked parent-to-child under the
-// client's trace ID.
-func TestRegionJobTraceStitchedAcrossBackends(t *testing.T) {
-	c := NewCluster(t, Options{Backends: 2})
-	c.WaitRing(t, 2)
-
-	// Region → backend placement hashes the (job, region) key onto the
-	// ring, and backend identities are ephemeral ports, so one seed can
-	// legitimately land every region on one member. A few seeds make
-	// that astronomically unlikely without fixing the placement.
-	var tr api.TraceResponse
-	var sc trace.SpanContext
-	backends := map[string]bool{}
-	for seed := int64(1); seed <= 5; seed++ {
-		prog := thermflow.GenerateMega(thermflow.MegaOptions{
-			Seed: seed, Arms: 8, Depth: 1, OpsPerBlock: 4, Pressure: 8, TripCount: 8,
-		})
-		sc = trace.New()
-		var st api.JobStatus
-		resp := postTraced(t, c.GatewayURL+"/v2/jobs", sc,
-			api.JobRequest{Kind: "region", Program: prog.Fn.String(),
-				Options: thermflow.Options{Solver: thermflow.SolverRegion, Regions: 8}}, &st)
-		if resp.StatusCode != http.StatusOK || st.State != "done" {
-			t.Fatalf("region job: status %d state=%s err=%s", resp.StatusCode, st.State, st.Error)
-		}
-
-		// The response echoes the client's trace with a fresh server span.
-		echo, ok := trace.ParseHeader(resp.Header.Get(server.TraceHeader))
-		if !ok || echo.TraceID != sc.TraceID || echo.SpanID == sc.SpanID {
-			t.Fatalf("response trace header %q does not continue client trace %s",
-				resp.Header.Get(server.TraceHeader), sc.TraceID)
-		}
-
-		tr = getTrace(t, c.GatewayURL, st.ID)
-		backends = map[string]bool{}
-		for _, sp := range tr.Spans {
-			if sp.Name == "region.solve" {
-				backends[sp.Attrs["backend"]] = true
-			}
-		}
-		if len(backends) >= 2 {
-			break
-		}
-	}
-	if len(backends) < 2 {
-		t.Fatalf("region.solve spans from %d distinct backends across 5 seeds, want >= 2", len(backends))
-	}
-
-	if tr.TraceID != sc.TraceID {
-		t.Fatalf("timeline trace %s, want client trace %s", tr.TraceID, sc.TraceID)
-	}
-	names := map[string]int{}
-	spanName := map[string]string{} // span ID -> name, for parent-link checks
-	for _, sp := range tr.Spans {
-		if sp.TraceID != sc.TraceID {
-			t.Fatalf("span %s (%s) has trace %s, want %s", sp.SpanID, sp.Name, sp.TraceID, sc.TraceID)
-		}
-		names[sp.Name]++
-		spanName[sp.SpanID] = sp.Name
-	}
-	for _, want := range []string{"http.server", "region.coordinate", "region.round", "region.solve"} {
-		if names[want] == 0 {
-			t.Fatalf("timeline has no %s span (got %v)", want, names)
-		}
-	}
-
-	// The stitch must preserve the phase hierarchy: rounds under the
-	// coordination span, backend solves under their round.
-	wantParent := map[string]string{
-		"region.round": "region.coordinate",
-		"region.solve": "region.round",
-	}
-	for _, sp := range tr.Spans {
-		want, checked := wantParent[sp.Name]
-		if !checked {
-			continue
-		}
-		if got := spanName[sp.ParentID]; got != want {
-			t.Fatalf("%s span parented under %q span %s, want %s", sp.Name, got, sp.ParentID, want)
-		}
-		if sp.Name == "region.solve" {
-			if sp.Service != "thermflowd" {
-				t.Fatalf("region.solve span service %q, want thermflowd", sp.Service)
-			}
-			if sp.Attrs["queue_us"] == "" {
-				t.Fatalf("region.solve span missing queue_us attr: %v", sp.Attrs)
-			}
-		}
-	}
-}
-
 // TestPlainJobTraceLifecyclePhases submits a plain async job directly
 // to one backend under a client trace and asserts the backend's
 // timeline carries the queue/run/solve phase chain hanging off the

@@ -26,8 +26,9 @@ type RemoteResult struct {
 	ServerHits, ServerMisses uint64
 	// DiskHits counts results the server pulled from its persistent
 	// disk tier — after a thermflowd restart over the same -cache-dir
-	// this is the warm-restart win (scripts/bench_persist.sh records
-	// it). Zero when the server runs memory-only.
+	// this is the warm-restart win
+	// (TestClusterRemoteSweepCachedAndWarmAfterRestart requires every
+	// job). Zero when the server runs memory-only.
 	DiskHits uint64
 }
 

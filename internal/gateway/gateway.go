@@ -104,11 +104,10 @@ type Config struct {
 	// request series additionally require server.WithMetrics in the
 	// middleware chain, which cmd/thermflowgate wires.
 	Metrics *server.Metrics
-	// Trace is the recorder for gateway-coordinated job timelines
-	// (region jobs' coordinate/round spans stitched with every
-	// backend's step spans) and the store behind GET
-	// /v2/jobs/{id}/trace. Nil builds a private recorder — pass the
-	// daemon's so server.WithTracing shares it.
+	// Trace is the recorder for the gateway's own edge spans, which
+	// GET /v2/jobs/{id}/trace merges into the owning backend's
+	// timeline. Nil builds a private recorder — pass the daemon's so
+	// server.WithTracing shares it.
 	Trace *trace.Recorder
 }
 
@@ -138,7 +137,7 @@ type Gateway struct {
 	replOrder  []string
 
 	metrics gwMetrics       // inert zero value unless Config.Metrics was set
-	trace   *trace.Recorder // never nil; stitched job timelines
+	trace   *trace.Recorder // never nil; the gateway's edge spans per job
 
 	stop      context.CancelFunc
 	wg        sync.WaitGroup
@@ -396,8 +395,8 @@ func (g *Gateway) outboundRequest(ctx context.Context, r *http.Request, backendU
 		req.Header.Set(server.RequestIDHeader, id)
 	}
 	// Trace identity comes from ctx, not the inbound header: the
-	// middleware already sanitized it, and the region coordinator passes
-	// child contexts so each hop parents under the right span.
+	// middleware already sanitized it and parented the gateway's server
+	// span under the client's.
 	if sc := trace.FromContext(ctx); sc.Valid() {
 		req.Header.Set(server.TraceHeader, sc.Header())
 	}
@@ -524,17 +523,6 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, body, &req) {
 		return
 	}
-	switch req.Kind {
-	case "", "compile":
-	case "region":
-		// Region jobs are coordinated by the gateway itself: the
-		// fixpoint fans out across the pool (regions.go).
-		g.handleRegionJob(w, r, req, body)
-		return
-	default:
-		server.WriteErr(w, http.StatusUnprocessableEntity, "unknown job kind %q", req.Kind)
-		return
-	}
 	id, ok := resolveID(w, req)
 	if !ok {
 		return
@@ -619,27 +607,15 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobTrace is GET /v2/jobs/{id}/trace. A gateway-coordinated job
-// (kind "region") has its stitched timeline right here — coordinator
-// and round spans plus every backend's step spans under one trace ID —
-// and is served locally. Any other job ran on a backend, so the
-// request follows the same owner→successor walk as a status read (the
-// proxied path is already the trace path) and the gateway's own edge
-// spans for the job are merged into the backend's timeline, giving the
-// caller the submit-to-solve view across both processes.
+// handleJobTrace is GET /v2/jobs/{id}/trace. Every job ran on a
+// backend, so the request follows the same owner→successor walk as a
+// status read (the proxied path is already the trace path) and the
+// gateway's own edge spans for the job are merged into the backend's
+// timeline, giving the caller the submit-to-solve view across both
+// processes.
 func (g *Gateway) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	local, hasLocal := g.trace.Timeline(id)
-	for _, sp := range local.Spans {
-		if sp.Name != "http.server" {
-			// Coordination spans mean this is the stitched view — the
-			// richest record of the job anywhere in the deployment.
-			server.AnnotateJob(r, id)
-			server.WriteJSON(w, http.StatusOK, server.TraceResponseFor(local, g.trace.Service()))
-			return
-		}
-	}
-
 	buf := &bufferedResponse{header: make(http.Header), status: http.StatusOK}
 	g.handleJobGet(buf, r)
 	if buf.status == http.StatusOK {

@@ -15,12 +15,14 @@
 //
 // Deadlines bound a job's total lifetime from submission, queue wait
 // included: a job still queued past its deadline expires without
-// running, and a running job's context carries the deadline so
-// cancellation points in the engine observe it. Enforcement is exact
-// down into the analysis: the tdfa solvers poll the job context per
-// block evaluation, so a mid-flight compile stops within one block of
-// the deadline instead of running to the next engine boundary (and
-// the cancelled failure is never cached).
+// running, and a running job is expired by the registry's own timer,
+// which cancels its compile. Enforcement is exact down into the
+// analysis: the tdfa solvers poll the job context per block
+// evaluation, so a mid-flight compile stops within one block of the
+// deadline instead of running to the next engine boundary (and the
+// cancelled failure is never cached). A submit that converges on a
+// live job moves its deadline to the later of the two, and a submit
+// without one removes it: the job serves both.
 //
 // The registry deliberately does not touch the engine's result store:
 // resetting the cache (DELETE /v2/cache) invalidates results, not job
@@ -219,6 +221,12 @@ type job struct {
 	queueSpan string
 	runSpan   string
 
+	// timer expires the job at its deadline once it runs or has a
+	// waiter (nil otherwise); cancel stops its compile (nil unless
+	// running).
+	timer  Timer
+	cancel context.CancelFunc
+
 	state                        State
 	submitted, started, finished time.Time
 	cached                       bool
@@ -330,11 +338,13 @@ func (r *Registry) Close() { r.cancel() }
 // Submit registers the job for spec and schedules it, returning its
 // snapshot and whether a new job was created. A spec whose ID is
 // already registered live or done converges on that job: the same work
-// has the same address, so a duplicate submit is a lookup. A retained
-// job that failed or expired is replaced by a fresh one instead —
-// its deadline, the admission that shed it or the cancellation that
-// stopped it belonged to an earlier submit, and a deterministic
-// failure comes back from the engine's short-lived failure cache.
+// has the same address, so a duplicate submit is a lookup. A live job
+// takes the later of its deadline and the new submit's, none being
+// the latest. A retained job that failed or expired is replaced by a
+// fresh one instead — its deadline, the admission that shed it or the
+// cancellation that stopped it belonged to an earlier submit, and a
+// deterministic failure comes back from the engine's short-lived
+// failure cache.
 func (r *Registry) Submit(spec thermflow.JobSpec) (Snapshot, bool, error) {
 	return r.SubmitLimited(spec, Limits{})
 }
@@ -377,7 +387,7 @@ func (r *Registry) SubmitTraced(spec thermflow.JobSpec, lim Limits, sc trace.Spa
 	now := r.clock()
 	r.mu.Lock()
 	r.pruneLocked(now)
-	if j, ok := r.jobs[id]; ok && r.convergesLocked(j, now) {
+	if j, ok := r.jobs[id]; ok && r.convergesLocked(j, now, spec.Deadline) {
 		h := r.handleLocked(j)
 		r.mu.Unlock()
 		return h, false, nil
@@ -400,7 +410,7 @@ func (r *Registry) SubmitTraced(spec thermflow.JobSpec, lim Limits, sc trace.Spa
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, replacing := r.jobs[id]
-	if replacing && r.convergesLocked(old, now) {
+	if replacing && r.convergesLocked(old, now, spec.Deadline) {
 		return r.handleLocked(old), false, nil
 	}
 	for !replacing && len(r.jobs) >= r.max {
@@ -434,12 +444,31 @@ func (r *Registry) SubmitTraced(spec thermflow.JobSpec, lim Limits, sc trace.Spa
 	return r.handleLocked(j), true, nil
 }
 
-// convergesLocked reports whether a new submit of j's spec is answered
-// by j: true while j is live or done, false once it failed or expired
-// (see Submit). A deadline that passed by now expires j first.
-func (r *Registry) convergesLocked(j *job, now time.Time) bool {
+// convergesLocked reports whether a new submit of j's spec, with
+// relative deadline d (0 = none), is answered by j: true while j is
+// live or done, false once it failed or expired (see Submit). A
+// deadline that passed by now expires j first; a live j keeps the
+// later deadline of the two. The move writes no WAL record, so a
+// replay of j's submit record restores the first submit's deadline.
+func (r *Registry) convergesLocked(j *job, now time.Time, d time.Duration) bool {
 	r.refreshLocked(j, now)
-	return !j.state.Terminal() || j.state == StateDone
+	if j.state.Terminal() {
+		return j.state == StateDone
+	}
+	switch {
+	case j.deadline.IsZero():
+		return true
+	case d <= 0:
+		j.deadline = time.Time{}
+	case now.Add(d).After(j.deadline):
+		j.deadline = now.Add(d)
+	default:
+		return true
+	}
+	if j.timer != nil {
+		r.armLocked(j, now)
+	}
+	return true
 }
 
 // handleLocked wraps j's current snapshot into the Handle a submit
@@ -606,11 +635,13 @@ func (r *Registry) Wait(ctx context.Context, id string) (Snapshot, error) {
 
 func (r *Registry) wait(ctx context.Context, j *job) (Snapshot, error) {
 	// A queued job past its deadline has no dispatcher to expire it
-	// until a slot frees; arm a timer so waiters see the expiry when
+	// until a slot frees; its timer lets waiters see the expiry when
 	// it happens, not when the queue next moves.
-	if t := r.expiryTimer(j); t != nil {
-		defer t.Stop()
+	r.mu.Lock()
+	if j.timer == nil {
+		r.armLocked(j, r.clock())
 	}
+	r.mu.Unlock()
 	select {
 	case <-j.done:
 	case <-ctx.Done():
@@ -622,25 +653,28 @@ func (r *Registry) wait(ctx context.Context, j *job) (Snapshot, error) {
 	return snapshotOf(j), ctx.Err()
 }
 
-// expiryTimer arms a timer that expires the job at its deadline (nil
-// when the job has none or is already terminal). Timer creation goes
-// through Config.AfterFunc, so a fake clock brings fake timers with it
-// and deadline-wait tests need no wall-clock slack. A deadline already
-// in the past expires the job here and now — a timer is never armed
-// with a non-positive duration.
-func (r *Registry) expiryTimer(j *job) Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if j.deadline.IsZero() || j.state.Terminal() {
-		return nil
+// armLocked (re)arms j's expiry timer for its current deadline,
+// stopping the one it replaces; none is armed when j has no deadline
+// or is terminal. Timer creation goes through Config.AfterFunc, so a
+// fake clock brings fake timers with it and deadline tests need no
+// wall-clock slack. A deadline already in the past expires the job
+// here and now — a timer is never armed with a non-positive duration.
+// The timer fires into refreshLocked, which re-reads the deadline, so
+// one that fires after a move is harmless.
+func (r *Registry) armLocked(j *job, now time.Time) {
+	if j.timer != nil {
+		j.timer.Stop()
+		j.timer = nil
 	}
-	now := r.clock()
+	if j.deadline.IsZero() || j.state.Terminal() {
+		return
+	}
 	d := j.deadline.Sub(now)
 	if d <= 0 {
 		r.refreshLocked(j, now)
-		return nil
+		return
 	}
-	return r.after(d, func() {
+	j.timer = r.after(d, func() {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		r.refreshLocked(j, r.clock())
@@ -661,7 +695,7 @@ func (r *Registry) dispatchLocked() {
 		if j.state != StateQueued {
 			continue // finalized while queued (expired)
 		}
-		if !j.deadline.IsZero() && now.After(j.deadline) {
+		if !j.deadline.IsZero() && !now.Before(j.deadline) {
 			r.finishLocked(j, StateExpired, nil, false,
 				fmt.Errorf("deadline passed while queued: %w", context.DeadlineExceeded))
 			continue
@@ -676,21 +710,19 @@ func (r *Registry) dispatchLocked() {
 		r.ownerDeltaLocked(j.owner, -1, +1)
 		r.logStartLocked(j)
 		r.recordQueuedLocked(j, now, "dispatched")
-		go r.run(j)
+		ctx, cancel := context.WithCancel(r.ctx)
+		j.cancel = cancel
+		r.armLocked(j, now)
+		go r.run(ctx, j)
 	}
 	for _, j := range parked {
 		heap.Push(&r.queue, j)
 	}
 }
 
-// run executes one dispatched job and finalizes it.
-func (r *Registry) run(j *job) {
-	ctx := r.ctx
-	if !j.deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, j.deadline)
-		defer cancel()
-	}
+// run executes one dispatched job under ctx, which its expiry (or
+// Close) cancels, and finalizes it.
+func (r *Registry) run(ctx context.Context, j *job) {
 	if j.tr.Valid() && r.trace != nil {
 		// Each solver pass inside the compile reports through the
 		// context observer; recorded as job.solve children of the run
@@ -713,12 +745,11 @@ func (r *Registry) run(j *job) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.running--
-	switch {
-	case res.Err == nil:
+	// A job its timer expired is already terminal; finishLocked leaves
+	// it be.
+	if res.Err == nil {
 		r.finishLocked(j, StateDone, res.Compiled, res.Cached, nil)
-	case errors.Is(res.Err, context.DeadlineExceeded) && !j.deadline.IsZero():
-		r.finishLocked(j, StateExpired, nil, false, res.Err)
-	default:
+	} else {
 		r.finishLocked(j, StateFailed, nil, res.Cached, res.Err)
 	}
 	r.dispatchLocked()
@@ -740,6 +771,14 @@ func (r *Registry) finishLocked(j *job, state State, c *thermflow.Compiled, cach
 	}
 	if j.qidx >= 0 {
 		heap.Remove(&r.queue, j.qidx)
+	}
+	if j.timer != nil {
+		j.timer.Stop()
+		j.timer = nil
+	}
+	if j.cancel != nil {
+		j.cancel() // stops the compile of a job that expired running
+		j.cancel = nil
 	}
 	j.state = state
 	j.compiled = c
@@ -793,13 +832,13 @@ func (r *Registry) recordRunLocked(j *job, state State) {
 	})
 }
 
-// refreshLocked lazily expires a queued or running job whose deadline
-// has passed — polling paths (Get, Submit dedup, Wait wake-up) must
-// observe the expiry even while the job sits in a saturated queue. A
-// running job keeps running (its context is already cancelled); its
-// completion finds the job terminal and leaves it be.
+// refreshLocked expires a queued or running job whose deadline has
+// come — its timer and the polling paths (Get, Submit dedup, Wait
+// wake-up) call it, so the expiry shows even while the job sits in a
+// saturated queue. Expiring a running job cancels its compile; the
+// compile's return finds the job terminal and leaves it be.
 func (r *Registry) refreshLocked(j *job, now time.Time) {
-	if j.state.Terminal() || j.deadline.IsZero() || !now.After(j.deadline) {
+	if j.state.Terminal() || j.deadline.IsZero() || now.Before(j.deadline) {
 		return
 	}
 	r.finishLocked(j, StateExpired, nil, false,
@@ -853,7 +892,7 @@ type Stats struct {
 
 // Stats snapshots the registry. Counts derive from job states alone,
 // not the dispatcher's slot counter: a running job that refreshLocked
-// lazily expired is Terminal by state while its run() has yet to
+// expired is Terminal by state while its run() has yet to
 // return and release the slot, and counting the slot would make
 // Queued+Running+Terminal exceed the retained jobs.
 func (r *Registry) Stats() Stats {

@@ -216,6 +216,102 @@ func TestQueuedJobExpires(t *testing.T) {
 	}
 }
 
+// timerLog is a fake Config.AfterFunc that records every timer the
+// registry arms; fireAll runs every callback, stopped or not, as a
+// timer that fired just before its Stop would.
+type timerLog struct {
+	mu    sync.Mutex
+	armed []time.Duration
+	fns   []func()
+}
+
+func (l *timerLog) after(d time.Duration, f func()) Timer {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.armed = append(l.armed, d)
+	l.fns = append(l.fns, f)
+	return &fakeTimer{}
+}
+
+func (l *timerLog) fireAll() {
+	l.mu.Lock()
+	fns := append([]func(){}, l.fns...)
+	l.mu.Unlock()
+	for _, f := range fns {
+		f()
+	}
+}
+
+// A submit that converges on a live job serves the later deadline of
+// the two: one without a deadline keeps the job alive to done, queued
+// or running, and a later submit with an earlier deadline does not
+// shorten it. A running job's expiry is the registry's own timer, so
+// the fake clock drives it.
+func TestConvergingSubmitKeepsLaterDeadline(t *testing.T) {
+	clk := newFakeClock()
+	timers := &timerLog{}
+	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, Clock: clk.Now, AfterFunc: timers.after})
+	defer r.Close()
+
+	// Queued: another request's 10 ms deadline, then a submit with none.
+	if _, _, err := r.Submit(slowSpec(t, 70)); err != nil {
+		t.Fatal(err)
+	}
+	spec := kernelSpec(t, "dot", thermflow.Options{})
+	spec.Deadline = 10 * time.Millisecond
+	first, created, err := r.Submit(spec)
+	if err != nil || !created || first.State != StateQueued {
+		t.Fatalf("deadlined submit: %+v created=%v, %v; want a new queued job", first, created, err)
+	}
+	spec.Deadline = 0
+	second, created, err := r.Submit(spec)
+	if err != nil || created || second.ID != first.ID || !second.Deadline.IsZero() {
+		t.Fatalf("submit without a deadline: %+v created=%v, %v; want the same job, deadline dropped",
+			second, created, err)
+	}
+	clk.Advance(20 * time.Millisecond)
+	timers.fireAll()
+	if got, err := r.Get(first.ID); err != nil || got.State.Terminal() {
+		t.Fatalf("queued job past the dropped deadline: %+v, %v; want still live", got, err)
+	}
+	if got, err := r.Wait(context.Background(), first.ID); err != nil || got.State != StateDone {
+		t.Fatalf("queued job: %+v, %v; want done", got, err)
+	}
+
+	// Running: the heavy job dispatches at once with a 10 ms deadline.
+	heavy := heavySpec(t, 70)
+	heavy.Deadline = 10 * time.Millisecond
+	run, _, err := r.Submit(heavy)
+	if err != nil || run.State != StateRunning {
+		t.Fatalf("heavy submit: %+v, %v; want running", run, err)
+	}
+	clk.Advance(5 * time.Millisecond)
+	heavy.Deadline = time.Second
+	later, _, err := r.Submit(heavy)
+	if want := clk.Now().Add(time.Second); err != nil || !later.Deadline.Equal(want) {
+		t.Fatalf("later deadline: %+v, %v; want deadline %v", later, err, want)
+	}
+	heavy.Deadline = 20 * time.Millisecond
+	earlier, _, err := r.Submit(heavy)
+	if err != nil || !earlier.Deadline.Equal(later.Deadline) {
+		t.Fatalf("earlier deadline shortened the job: %v, want %v (%v)", earlier.Deadline, later.Deadline, err)
+	}
+	clk.Advance(25 * time.Millisecond)
+	timers.fireAll()
+	if got, _ := r.Get(run.ID); got.State == StateExpired {
+		t.Fatalf("running job expired at an earlier submit's deadline: %v", got.Err)
+	}
+	heavy.Deadline = 0
+	if none, _, err := r.Submit(heavy); err != nil || !none.Deadline.IsZero() {
+		t.Fatalf("submit without a deadline: %+v, %v; want the deadline dropped", none, err)
+	}
+	clk.Advance(2 * time.Second)
+	timers.fireAll()
+	if got, err := r.Wait(context.Background(), run.ID); err != nil || got.State != StateDone {
+		t.Fatalf("running job: state %s, error %v (%v); want done", got.State, got.Err, err)
+	}
+}
+
 // Regression: DELETE /v2/cache while jobs are queued and
 // running must not orphan their status entries — the registry keeps
 // every job addressable and they all complete.

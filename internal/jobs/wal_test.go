@@ -314,10 +314,9 @@ func TestStatsExcludesLazilyExpiredRunningSlot(t *testing.T) {
 
 	r.mu.Lock()
 	j := r.jobs[snap.ID]
-	// Force the lazily-expired-while-running shape deterministically:
+	// Force the expired-while-running shape deterministically:
 	// finalize exactly as refreshLocked would for a passed deadline,
-	// while run() still holds the slot. (Mutating j.deadline itself
-	// would race with run()'s unlocked read of the immutable field.)
+	// while run() still holds the slot.
 	if j.state != StateRunning {
 		r.mu.Unlock()
 		t.Fatalf("job not dispatched: %s", j.state)

@@ -266,8 +266,7 @@ func domDepths(g *cfg.Graph) []int {
 // every reachable block is in exactly one region, regions are
 // contiguous RPO intervals, cut edges are exactly the inter-region
 // edges and all point forward, and no natural loop is split. It is the
-// property-test oracle and a cheap paranoia check for distributed
-// callers.
+// property-test oracle.
 func Validate(g *cfg.Graph, p *Plan) error {
 	seen := make([]int, g.NumBlocks())
 	for i := range seen {

@@ -270,7 +270,6 @@ func routeOf(r *http.Request) string {
 	}
 	switch p {
 	case "/v2/jobs", "/v2/batch", "/v2/stats", "/v2/kernels", "/v2/cache", "/metrics",
-		"/v2/regions/solve", "/v2/regions/collect",
 		"/gateway/backends", "/gateway/drain", "/gateway/undrain":
 		return p
 	}

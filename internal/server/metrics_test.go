@@ -110,8 +110,8 @@ func TestRouteOfBoundsCardinality(t *testing.T) {
 		"/v2/jobs/abc123/wait":  "/v2/jobs/{id}/wait",
 		"/v2/jobs/x/replica":    "/v2/jobs/{id}/replica",
 		"/v2/jobs/abc123/trace": "/v2/jobs/{id}/trace",
-		"/v2/regions/solve":     "/v2/regions/solve",
-		"/v2/regions/collect":   "/v2/regions/collect",
+		"/v2/regions/solve":     "other",
+		"/v2/regions/collect":   "other",
 		"/metrics":              "/metrics",
 		"/gateway/backends":     "/gateway/backends",
 		"/random/client/path":   "other",

@@ -70,9 +70,9 @@ type Config struct {
 	Metrics *Metrics
 
 	// Trace is the recorder behind GET /v2/jobs/{id}/trace; the job
-	// registry records lifecycle spans into it and region solves record
-	// their steps (nil builds a private recorder — pass the daemon's so
-	// WithTracing shares it). Overrides Jobs.Trace.
+	// registry records lifecycle spans into it (nil builds a private
+	// recorder — pass the daemon's so WithTracing shares it). Overrides
+	// Jobs.Trace.
 	Trace *trace.Recorder
 }
 
@@ -81,7 +81,6 @@ type Server struct {
 	batch    *thermflow.Batch
 	jobs     *jobs.Registry
 	replicas *ReplicaStore
-	regions  *regionStore
 	metrics  *Metrics        // nil when unmetered
 	trace    *trace.Recorder // never nil; bounded in-memory timelines
 	mux      *http.ServeMux
@@ -102,16 +101,13 @@ func NewConfig(b *thermflow.Batch, cfg Config) *Server {
 	}
 	cfg.Jobs.Trace = cfg.Trace
 	s := &Server{batch: b, jobs: jobs.New(b, cfg.Jobs), replicas: replicas,
-		regions: newRegionStore(0), metrics: cfg.Metrics, trace: cfg.Trace,
-		mux: http.NewServeMux()}
+		metrics: cfg.Metrics, trace: cfg.Trace, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v2/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v2/jobs/{id}", s.handleJobGet)
 	s.mux.HandleFunc("GET /v2/jobs/{id}/wait", s.handleJobWait)
 	s.mux.HandleFunc("GET /v2/jobs/{id}/trace", s.handleJobTrace)
 	s.mux.HandleFunc("PUT /v2/jobs/{id}/replica", s.handleReplicaPut)
 	s.mux.HandleFunc("POST /v2/batch", s.handleJobsBatch)
-	s.mux.HandleFunc("POST /v2/regions/solve", s.handleRegionSolve)
-	s.mux.HandleFunc("POST /v2/regions/collect", s.handleRegionCollect)
 	s.mux.HandleFunc("GET /v2/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v2/kernels", s.handleKernels)
 	s.mux.HandleFunc("DELETE /v2/cache", s.handleCacheReset)

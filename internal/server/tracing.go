@@ -147,19 +147,6 @@ func WireSpan(sp trace.Span) api.TraceSpan {
 	}
 }
 
-// SpanFromWire converts a wire span back to the recorder form — the
-// gateway uses it to stitch backend-reported region steps into its own
-// coordinator timeline.
-func SpanFromWire(ws api.TraceSpan) trace.Span {
-	return trace.Span{
-		TraceID: ws.TraceID, SpanID: ws.SpanID, Parent: ws.ParentID,
-		Name: ws.Name, Service: ws.Service,
-		Start:    time.UnixMicro(ws.StartUS),
-		Duration: time.Duration(ws.DurationUS) * time.Microsecond,
-		Attrs:    ws.Attrs,
-	}
-}
-
 // TraceResponseFor renders a timeline as its wire document.
 func TraceResponseFor(tl trace.Timeline, service string) api.TraceResponse {
 	out := api.TraceResponse{

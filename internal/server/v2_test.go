@@ -152,6 +152,41 @@ func TestV2SubmitWaitDone(t *testing.T) {
 	}
 }
 
+// An analysis whose states leave the physical bound fails the job with
+// the analysis error: at κ = 1e9 the loop's windows pass the thermal
+// step's substep cap and its states turn NaN in the first sweep.
+func TestV2OutOfBoundAnalysisFailsJob(t *testing.T) {
+	ts, _ := newJobsServer(t, 1, Config{})
+	req := api.JobRequest{Program: `
+func f(n) {
+entry:
+  i = const 0
+  one = const 1
+  br head
+head: !trip 1000
+  c = cmplt i, n
+  cbr c, body, exit
+body:
+  i2 = add i, one
+  i = mov i2
+  br head
+exit:
+  ret i
+}`, Options: thermflow.Options{Kappa: 1e9, MaxIter: 1}}
+	var st api.JobStatus
+	if status := postJSON(t, ts.URL+"/v2/jobs", req, &st); status != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", status)
+	}
+	var got api.JobStatus
+	code := getJSON(t, ts.URL+"/v2/jobs/"+st.ID+"/wait?timeout_ms=60000", &got)
+	if code != http.StatusOK || got.State != "failed" || got.Result != nil ||
+		!strings.Contains(got.Error, "outside the physical bound") ||
+		!strings.Contains(got.Error, "cap of 200000 substeps") {
+		t.Fatalf("job: %d, state %q, error %q; want 200, failed with the physical-bound error",
+			code, got.State, got.Error)
+	}
+}
+
 // A job whose deadline passes while queued answers 504 with state
 // "expired" — the 504-equivalent of the satellite checklist.
 func TestV2DeadlineExpiredIs504(t *testing.T) {

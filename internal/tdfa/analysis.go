@@ -2,6 +2,7 @@ package tdfa
 
 import (
 	"fmt"
+	"math"
 
 	"thermflow/internal/cfg"
 	"thermflow/internal/ir"
@@ -81,7 +82,7 @@ func Analyze(fn *ir.Function, c Config) (*Result, error) {
 }
 
 // newAnalyzer validates the configuration and builds the solver state
-// shared by Analyze and NewRegionSession.
+// Analyze runs.
 func newAnalyzer(fn *ir.Function, c Config) (*analyzer, error) {
 	c = c.withDefaults()
 	if err := c.Tech.Validate(); err != nil {
@@ -199,7 +200,9 @@ func (a *analyzer) run() (*Result, error) {
 		return nil, fmt.Errorf("tdfa: analysis cancelled: %w", err)
 	}
 
-	a.aggregate(res)
+	if err := a.aggregate(res); err != nil {
+		return nil, err
+	}
 	a.rankCritical(res)
 	return res, nil
 }
@@ -306,19 +309,8 @@ func (a *analyzer) transfer(instr *ir.Instr, s thermal.State, energy, pow []floa
 // buffer, so concurrent region solvers can share one analyzer while
 // each keeps private scratch.
 func (a *analyzer) transferWith(instr *ir.Instr, s thermal.State, energy, pow []float64, freq float64, stepBuf thermal.State) {
-	for i := range energy {
-		energy[i] = 0
-	}
-	for _, u := range instr.Uses {
-		a.place.deposit(a.cfg.Tech.AccessEnergy(false), u, energy)
-	}
-	if instr.Def != nil {
-		a.place.deposit(a.cfg.Tech.AccessEnergy(true), instr.Def, energy)
-	}
-	if a.cfg.ExtraDeposit != nil {
-		a.cfg.ExtraDeposit(instr, energy)
-	}
-	lat := float64(instr.EffLatency()) * a.cfg.Tech.CycleTime
+	a.instrEnergy(instr, energy)
+	lat := a.latency(instr)
 	dt := lat * a.cfg.Kappa * freq
 	if dt <= 0 {
 		return
@@ -332,32 +324,150 @@ func (a *analyzer) transferWith(instr *ir.Instr, s thermal.State, energy, pow []
 	a.grid.StepWith(s, pow, dt, stepBuf)
 }
 
+// instrEnergy writes into energy the per-cell energy (J) of one
+// execution of instr: its register accesses plus ExtraDeposit.
+func (a *analyzer) instrEnergy(instr *ir.Instr, energy []float64) {
+	for i := range energy {
+		energy[i] = 0
+	}
+	for _, u := range instr.Uses {
+		a.place.deposit(a.cfg.Tech.AccessEnergy(false), u, energy)
+	}
+	if instr.Def != nil {
+		a.place.deposit(a.cfg.Tech.AccessEnergy(true), instr.Def, energy)
+	}
+	if a.cfg.ExtraDeposit != nil {
+		a.cfg.ExtraDeposit(instr, energy)
+	}
+}
+
+// latency is one execution of instr in seconds.
+func (a *analyzer) latency(instr *ir.Instr) float64 {
+	return float64(instr.EffLatency()) * a.cfg.Tech.CycleTime
+}
+
+// boundTolerance absorbs rounding in the physical bound check (K).
+const boundTolerance = 1e-9
+
+// stateBound returns the interval every analysis state must lie in.
+// Each Euler substep at or below the stable step is a convex
+// combination of the cell, its neighbours, ambient and the cell's
+// steady state under the window's power, and the joins and the warm
+// start are convex too. So without leakage every state lies in
+// [T_amb, T_amb + p_max/GVert], where p_max is the largest per-cell
+// power any instruction applies in its window. Leakage grows with
+// temperature, so with it only NaN and ±Inf are ruled out.
+func (a *analyzer) stateBound() (lo, hi float64) {
+	if a.cfg.WithLeakage {
+		return -math.MaxFloat64, math.MaxFloat64
+	}
+	energy := a.stepBuf // free once the solve is done
+	pMax := 0.0
+	for _, b := range a.fn.Blocks {
+		if !a.g.Reachable(b) {
+			continue
+		}
+		for _, instr := range b.Instrs {
+			a.instrEnergy(instr, energy)
+			lat := a.latency(instr)
+			for _, e := range energy {
+				if p := e / lat; p > pMax {
+					pMax = p
+				}
+			}
+		}
+	}
+	return a.grid.TAmb - boundTolerance, a.grid.TAmb + pMax/a.grid.GVert + boundTolerance
+}
+
+// outOfBound returns the first cell of st outside [lo, hi], or -1. The
+// negated test also catches NaN.
+func outOfBound(st thermal.State, lo, hi float64) int {
+	for c, v := range st {
+		if !(v >= lo && v <= hi) {
+			return c
+		}
+	}
+	return -1
+}
+
+// boundError reports a state outside the physical bound [lo, hi]:
+// instr's state when instr is non-nil, else the in-state of block b.
+func (a *analyzer) boundError(res *Result, b *ir.Block, instr *ir.Instr, window, lo, hi float64) error {
+	span := fmt.Sprintf("the physical bound [%g, %g] K", lo+boundTolerance, hi-boundTolerance)
+	if a.cfg.WithLeakage {
+		span = "the finite range"
+	}
+	if instr == nil {
+		c := outOfBound(res.BlockIn[b.Index], lo, hi)
+		return fmt.Errorf("tdfa: thermal state entering block %s is %g K in cell %d, outside %s",
+			b.Name, res.BlockIn[b.Index][c], c, span)
+	}
+	c := outOfBound(res.InstrState[instr.ID], lo, hi)
+	limit := thermal.MaxSubsteps * a.grid.MaxStableStep()
+	past := "within"
+	if window > limit {
+		past = "past"
+	}
+	return fmt.Errorf("tdfa: thermal state after %q in block %s is %g K in cell %d, outside %s: "+
+		"its window κ·freq·latency of %.4g s is %s the thermal step's cap of %d substeps (%.4g s)",
+		instr.String(), b.Name, res.InstrState[instr.ID][c], c, span,
+		window, past, thermal.MaxSubsteps, limit)
+}
+
 // aggregate fills the Peak/Mean/RegPeak summaries from the
-// per-instruction states, weighting means by instruction latency.
-func (a *analyzer) aggregate(res *Result) {
+// per-instruction states, weighting means by instruction latency. It
+// fails when any reachable instruction or block-in state leaves the
+// physical bound (stateBound): such a state, NaN above all, would
+// otherwise hide behind a converged peak, because comparisons with NaN
+// are false. Of the instructions whose state is out of bound, the
+// error names the one with the longest window, the likeliest cause: a
+// window longer than thermal.MaxSubsteps stable steps is integrated in
+// unstable substeps.
+func (a *analyzer) aggregate(res *Result) error {
+	lo, hi := a.stateBound()
 	nc := a.grid.NumCells()
 	res.Peak = make(thermal.State, nc)
 	res.Mean = make(thermal.State, nc)
 	for c := 0; c < nc; c++ {
 		res.Peak[c] = res.BlockIn[a.fn.Entry.Index][c]
 	}
+	var badBlock, worstBlock *ir.Block
+	var worst *ir.Instr
+	worstWindow := -1.0
 	totalW := 0.0
 	for _, b := range a.fn.Blocks {
 		if !a.g.Reachable(b) {
 			continue
+		}
+		if badBlock == nil && outOfBound(res.BlockIn[b.Index], lo, hi) >= 0 {
+			badBlock = b
 		}
 		w := a.freq.BlockFreq(b)
 		for _, instr := range b.Instrs {
 			st := res.InstrState[instr.ID]
 			iw := w * float64(instr.EffLatency())
 			totalW += iw
+			in := true
 			for c, v := range st {
 				if v > res.Peak[c] {
 					res.Peak[c] = v
 				}
 				res.Mean[c] += v * iw
+				in = in && v >= lo && v <= hi
+			}
+			if !in {
+				if window := a.latency(instr) * a.cfg.Kappa * w; window > worstWindow {
+					worst, worstBlock, worstWindow = instr, b, window
+				}
 			}
 		}
+	}
+	if worst != nil {
+		return a.boundError(res, worstBlock, worst, worstWindow, lo, hi)
+	}
+	if badBlock != nil {
+		return a.boundError(res, badBlock, nil, 0, lo, hi)
 	}
 	if totalW > 0 {
 		for c := range res.Mean {
@@ -369,4 +479,5 @@ func (a *analyzer) aggregate(res *Result) {
 	for r := 0; r < a.cfg.FP.NumRegs; r++ {
 		res.RegPeak[r] = res.Peak[a.cfg.FP.CellOf(r)]
 	}
+	return nil
 }

@@ -103,107 +103,3 @@ func TestRegionSlackWithinBudget(t *testing.T) {
 		}
 	}
 }
-
-// TestRegionSessionMatchesInProcess drives the stepwise session
-// protocol the way the gateway does — one authoritative session per
-// region plus a coordinator session absorbing fragments — and asserts
-// the finalized result equals the in-process region solve (and hence
-// the dense reference).
-func TestRegionSessionMatchesInProcess(t *testing.T) {
-	fn := workload.Generate(workload.GenConfig{Seed: 3, Segments: 4, LoopDepth: 2})
-	al, err := regalloc.Allocate(fn, regalloc.Config{NumRegs: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Alloc: al, Solver: SolverRegion, Regions: 4}
-	dense, err := Analyze(al.Fn, Config{Alloc: al, Solver: SolverDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord, err := NewRegionSession(al.Fn, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr := coord.Plan().NumRegions()
-	if nr < 2 {
-		t.Fatalf("expected a real partition, got %d regions", nr)
-	}
-	// One remote session per region, each rebuilt independently from
-	// the same inputs (as a backend would from the job spec).
-	remote := make([]*RegionSession, nr)
-	for r := 0; r < nr; r++ {
-		remote[r], err = NewRegionSession(al.Fn, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	maxIter := coord.MaxIter()
-	delta := coord.Delta()
-	converged := false
-	var history []float64
-	finalDelta := 0.0
-	iters := 0
-	for iter := 1; iter <= maxIter; iter++ {
-		maxDelta := 0.0
-		// DAG order == region index order (cut edges always point up).
-		for r := 0; r < nr; r++ {
-			for _, b := range remote[r].InputBlocks(r) {
-				if err := remote[r].SetState(b, coord.State(b)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			d, err := remote[r].SweepRegion(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d > maxDelta {
-				maxDelta = d
-			}
-			for _, b := range remote[r].OutputBlocks(r) {
-				if err := coord.SetState(b, remote[r].State(b)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		iters = iter
-		history = append(history, maxDelta)
-		finalDelta = maxDelta
-		if maxDelta <= delta {
-			converged = true
-			break
-		}
-	}
-	for r := 0; r < nr; r++ {
-		blockIn, instr, err := remote[r].Fragment(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.AbsorbFragment(r, blockIn, instr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// BlockSweeps: every region swept once per iteration.
-	sweeps := 0
-	for r := 0; r < nr; r++ {
-		sweeps += remote[r].LocalSweeps()[r] * len(coord.Plan().Regions[r].Blocks)
-	}
-	res := coord.Finalize(iters, history, finalDelta, converged, sweeps)
-
-	if res.Converged != dense.Converged || res.Iterations != dense.Iterations {
-		t.Fatalf("convergence differs: session %v/%d, dense %v/%d",
-			res.Converged, res.Iterations, dense.Converged, dense.Iterations)
-	}
-	if res.FinalDelta != dense.FinalDelta || res.BlockSweeps != dense.BlockSweeps {
-		t.Fatalf("finalΔ %v vs %v, sweeps %d vs %d",
-			res.FinalDelta, dense.FinalDelta, res.BlockSweeps, dense.BlockSweeps)
-	}
-	for i := range dense.InstrState {
-		statesEqual(t, fmt.Sprintf("instr %d", i), dense.InstrState[i], res.InstrState[i])
-	}
-	statesEqual(t, "peak", dense.Peak, res.Peak)
-	if res.PeakTemp != dense.PeakTemp {
-		t.Fatalf("peakTemp %v vs %v", res.PeakTemp, dense.PeakTemp)
-	}
-}

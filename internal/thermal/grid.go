@@ -75,9 +75,16 @@ func (g *Grid) MaxStableStep() float64 {
 	return 0.5 * g.C / gMax
 }
 
+// MaxSubsteps caps the forward-Euler substeps one Step integrates:
+// beyond ~50 thermal time constants the state is at its fixed point,
+// so integrating longer is waste. A window longer than MaxSubsteps ×
+// MaxStableStep takes substeps past the stable step.
+const MaxSubsteps = 200000
+
 // Step advances the state by dt seconds under the given per-cell power
 // input (W). If dt exceeds the stable step it is subdivided
-// automatically. pow may be nil for zero power (pure cooling).
+// automatically, up to MaxSubsteps. pow may be nil for zero power (pure
+// cooling).
 func (g *Grid) Step(s State, pow []float64, dt float64) {
 	g.StepWith(s, pow, dt, make(State, len(s)))
 }
@@ -94,11 +101,8 @@ func (g *Grid) StepWith(s State, pow []float64, dt float64, scratch State) {
 	if steps < 1 {
 		steps = 1
 	}
-	// Cap the subdivision work: beyond ~50 thermal time constants the
-	// state is at its fixed point, so integrating longer is waste.
-	const maxSub = 200000
-	if steps > maxSub {
-		steps = maxSub
+	if steps > MaxSubsteps {
+		steps = MaxSubsteps
 	}
 	sub := dt / float64(steps)
 	cur, next := s, scratch

@@ -2,9 +2,8 @@
 // plane: trace/span identities, phase-tagged spans with parent links,
 // and a bounded in-memory recorder of per-job timelines. It answers
 // the question the metrics plane cannot — "why was THIS job slow" —
-// by tying together the hops one job takes across the gateway, its
-// owning backend and (for region jobs) every backend that stepped a
-// region, under one trace ID.
+// by tying together the hops one job takes across the gateway and its
+// owning backend under one trace ID.
 //
 // Identity travels on the wire in the X-Thermflow-Trace header
 // (server.TraceHeader) as "traceID-spanID" — a traceparent-style pair
@@ -78,11 +77,6 @@ func (c SpanContext) Valid() bool {
 // Header renders the wire form, "traceID-spanID".
 func (c SpanContext) Header() string { return c.TraceID + "-" + c.SpanID }
 
-// Child keeps the trace and mints a fresh span under it.
-func (c SpanContext) Child() SpanContext {
-	return SpanContext{TraceID: c.TraceID, SpanID: NewSpanID()}
-}
-
 // ParseHeader decodes a wire header. It is a sanitizer, not just a
 // parser: the only accepted shape is exactly 32 lowercase hex chars,
 // a dash, and 16 lowercase hex chars. Anything else — wrong lengths,
@@ -131,9 +125,8 @@ func FromContext(ctx context.Context) SpanContext {
 }
 
 // Span is one timed, named phase of a job's life: a server request, a
-// queue wait, a solver run, a region round. Parent links spans into a
-// tree; Attrs carry small phase-specific facts (region index, sweep
-// count, cache outcome). Spans are immutable once recorded.
+// queue wait, a solver run. Parent links spans into a tree; Attrs carry
+// small phase-specific facts (queue outcome, solver, cache outcome). Spans are immutable once recorded.
 type Span struct {
 	TraceID  string            `json:"trace_id"`
 	SpanID   string            `json:"span_id"`
@@ -192,9 +185,9 @@ func (r *Recorder) Service() string {
 
 // Record appends spans to key's timeline, creating it (and LRU-
 // evicting the oldest timeline at the bound) on first touch. Spans
-// beyond the per-timeline cap are dropped and counted — a long exact-
-// mode region job keeps its earliest rounds and an honest drop count
-// rather than growing without bound. Spans with an empty Service are
+// beyond the per-timeline cap are dropped and counted — a job whose
+// trace is read or resubmitted thousands of times keeps its earliest
+// spans and an honest drop count rather than growing without bound. Spans with an empty Service are
 // stamped with the recorder's.
 func (r *Recorder) Record(key string, spans ...Span) {
 	if r == nil || key == "" || len(spans) == 0 {

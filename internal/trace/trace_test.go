@@ -16,13 +16,6 @@ func TestIDShapes(t *testing.T) {
 	if len(sc.TraceID) != traceIDHexLen || len(sc.SpanID) != spanIDHexLen {
 		t.Fatalf("unexpected ID lengths: trace %d, span %d", len(sc.TraceID), len(sc.SpanID))
 	}
-	child := sc.Child()
-	if child.TraceID != sc.TraceID {
-		t.Fatalf("Child changed the trace ID")
-	}
-	if child.SpanID == sc.SpanID {
-		t.Fatalf("Child reused the span ID")
-	}
 }
 
 func TestHeaderRoundTrip(t *testing.T) {

@@ -344,3 +344,38 @@ func TestSkipAnalysis(t *testing.T) {
 		t.Error("Validate without analysis accepted")
 	}
 }
+
+// A window past the thermal step's substep cap is integrated in
+// unstable substeps, and matmul at κ = 1e9 ends with NaN states that
+// the convergence test and the peak both skip (comparisons with NaN
+// are false). The analysis must fail, naming the instruction, its
+// window and the cap, instead of serving a converged peak; kernels at
+// the default κ still compile. The first sweep already goes NaN, and
+// each sweep at this κ costs about a second (far more under -race),
+// so the test runs one.
+func TestNaNStatesFailTheAnalysis(t *testing.T) {
+	p, err := Kernel("matmul")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := p.Compile(Options{Kappa: 1e9, MaxIter: 1})
+	if err == nil {
+		t.Fatalf("matmul at κ=1e9 compiled to peak %v K (converged %v); want the physical-bound error",
+			c.Thermal.PeakTemp, c.Thermal.Converged)
+	}
+	for _, want := range []string{"NaN K", "outside the physical bound", "window κ·freq·latency of",
+		"past the thermal step's cap of 200000 substeps"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+	for _, name := range Kernels() {
+		k, err := Kernel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Compile(Options{}); err != nil {
+			t.Errorf("%s at the default κ: %v", name, err)
+		}
+	}
+}
