@@ -19,13 +19,14 @@ serve:
 smoke:
 	sh scripts/smoke.sh
 
-# Short fuzz pass over the IR parsers, the JobSpec wire codec and the
-# WAL recovery path (the seed corpora alone run under plain
-# `make test`).
+# Short fuzz pass over the IR parsers, the JobSpec wire codec, the
+# disk tier's answer decoder and the WAL recovery path (the seed
+# corpora alone run under plain `make test`).
 fuzz:
 	$(GO) test ./internal/ir -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/ir -fuzz 'FuzzParseModule$$' -fuzztime 30s
 	$(GO) test . -fuzz 'FuzzJobSpecDecode$$' -fuzztime 30s
+	$(GO) test . -fuzz 'FuzzDecodeCompiled$$' -fuzztime 30s
 	$(GO) test ./internal/joblog -fuzz 'FuzzJoblogRecover$$' -fuzztime 30s
 
 fmt:

@@ -38,65 +38,16 @@ import (
 	"thermflow"
 )
 
-// CompileResponse is the wire form of one compilation result.
-type CompileResponse struct {
-	// Cached reports whether the server served the result from its
-	// content-keyed cache (shared across clients and requests).
-	Cached bool `json:"cached"`
-
-	// Policy and Solver echo the resolved enum names; NumRegs the
-	// resolved register-file size.
-	Policy  string `json:"policy"`
-	Solver  string `json:"solver"`
-	NumRegs int    `json:"num_regs"`
-
-	// Converged, Iterations, FinalDelta and BlockSweeps summarize the
-	// thermal data-flow analysis (tdfa.Result). A false Converged is
-	// the paper's "too difficult to predict at compile time"
-	// diagnostic. All four are zero when the request skipped analysis.
-	Converged   bool    `json:"converged"`
-	Iterations  int     `json:"iterations"`
-	FinalDelta  float64 `json:"final_delta_k"`
-	BlockSweeps int     `json:"block_sweeps"`
-
-	// PeakTemp is the hottest predicted temperature anywhere, in
-	// kelvin; RegPeak the per-register peak (indexed by register).
-	PeakTemp float64   `json:"peak_temp_k"`
-	RegPeak  []float64 `json:"reg_peak_k,omitempty"`
-
-	// HotSpots ranks the variables most involved in hot spots,
-	// hottest first (truncated to the top ten).
-	HotSpots []HotSpot `json:"hot_spots,omitempty"`
-
-	// Alloc summarizes the register allocation.
-	Alloc AllocSummary `json:"alloc"`
-}
+// CompileResponse is the wire form of one compilation result: the
+// answer a backend stores and serves (see thermflow.Answer for the
+// fields).
+type CompileResponse = thermflow.Answer
 
 // HotSpot is one entry of the critical-variable ranking.
-type HotSpot struct {
-	// Name is the variable; Reg its physical register (-1 pre-alloc).
-	Name string `json:"name"`
-	Reg  int    `json:"reg"`
-	// Score is the hotness-weighted access energy (comparable within
-	// one analysis only); Accesses the estimated dynamic access count.
-	Score    float64 `json:"score"`
-	Accesses float64 `json:"accesses"`
-}
+type HotSpot = thermflow.HotSpot
 
 // AllocSummary is the wire form of a register allocation.
-type AllocSummary struct {
-	// Rounds is the number of allocation attempts (1 = no spilling).
-	Rounds int `json:"rounds"`
-	// Spilled names the values spilled to memory; SpillLoads and
-	// SpillStores count the memory instructions that inserted.
-	Spilled     []string `json:"spilled,omitempty"`
-	SpillLoads  int      `json:"spill_loads,omitempty"`
-	SpillStores int      `json:"spill_stores,omitempty"`
-	// UsedRegs is the number of distinct registers assigned;
-	// Occupancy the fraction of the register file in use.
-	UsedRegs  int     `json:"used_regs"`
-	Occupancy float64 `json:"occupancy"`
-}
+type AllocSummary = thermflow.AllocSummary
 
 // KernelsResponse lists the built-in benchmark kernels.
 type KernelsResponse struct {
@@ -154,43 +105,13 @@ type ErrorResponse struct {
 }
 
 // MaxHotSpots bounds the critical-variable ranking on the wire.
-const MaxHotSpots = 10
+const MaxHotSpots = thermflow.MaxHotSpots
 
 // ResponseFor converts a compilation into its wire form.
 func ResponseFor(c *thermflow.Compiled, cached bool) *CompileResponse {
-	resp := &CompileResponse{
-		Cached:  cached,
-		Policy:  c.Opts.Policy.String(),
-		Solver:  c.Opts.Solver.String(),
-		NumRegs: c.Floorplan().NumRegs,
-		Alloc: AllocSummary{
-			Rounds:      c.Alloc.Rounds,
-			Spilled:     c.Alloc.Spilled,
-			SpillLoads:  c.Alloc.SpillLoads,
-			SpillStores: c.Alloc.SpillStores,
-			UsedRegs:    len(c.Alloc.UsedRegs()),
-			Occupancy:   c.Alloc.Occupancy(),
-		},
-	}
-	if t := c.Thermal; t != nil {
-		resp.Converged = t.Converged
-		resp.Iterations = t.Iterations
-		resp.FinalDelta = t.FinalDelta
-		resp.BlockSweeps = t.BlockSweeps
-		resp.PeakTemp = t.PeakTemp
-		resp.RegPeak = t.RegPeak
-		n := len(t.Critical)
-		if n > MaxHotSpots {
-			n = MaxHotSpots
-		}
-		for _, vh := range t.Critical[:n] {
-			resp.HotSpots = append(resp.HotSpots, HotSpot{
-				Name: vh.Value.Name, Reg: vh.Reg,
-				Score: vh.Score, Accesses: vh.Accesses,
-			})
-		}
-	}
-	return resp
+	a := c.Answer()
+	a.Cached = cached
+	return a
 }
 
 // KernelList builds the kernel listing from the built-in workload set,

@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"thermflow"
 	"thermflow/api"
+	"thermflow/internal/batch"
 	"thermflow/internal/server"
 )
 
@@ -221,7 +221,7 @@ func TestTokenHeader(t *testing.T) {
 // while the port is dark and retry with backoff until the restarted
 // backend answers — the client-side half of gateway failover windows.
 func TestBackendRestartMidSweepConverges(t *testing.T) {
-	b := thermflow.NewBatch(2)
+	b := batch.NewRunner(2)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestBackendRestartMidSweepConverges(t *testing.T) {
 			return
 		}
 		restarted <- nil
-		hs2 := &http.Server{Handler: server.New(thermflow.NewBatch(2))}
+		hs2 := &http.Server{Handler: server.New(batch.NewRunner(2))}
 		go func() { _ = hs2.Serve(lis2) }()
 	}()
 

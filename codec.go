@@ -1,272 +1,58 @@
 package thermflow
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
-	"strings"
-
-	"thermflow/internal/binenc"
-	"thermflow/internal/cachestore"
-	"thermflow/internal/ir"
-	"thermflow/internal/regalloc"
-	"thermflow/internal/tdfa"
 )
 
-// This file is the durable form of a compilation result: the payload
-// the batch engine's disk tier stores under the content hash, and the
-// piece that makes a restarted thermflowd come back warm. A Compiled
-// is rebuilt from first principles — options through their JSON codec,
-// functions through the textual IR (print → parse round-trips blocks
-// and instruction IDs, which the thermal states are indexed by), the
-// register assignment by value name (value IDs do not survive a
-// reparse; names do), and the full tdfa.Result through its binary
-// codec.
-//
-// Not everything can be durable: Setup/Expect hooks are function
-// values. A Program carrying hooks is only encodable when it also
-// carries a stable Key (kernels do — see Kernel); on decode a kernel
-// Key resolves back through the workload registry, restoring the
-// hooks, while any other Key yields the IR and the Key with nil
-// hooks. A hooked Program without a Key is identified by its pointer,
-// which means nothing to another process, so EncodeCompiled declines
-// it and the result stays memory-only.
+// This file is the durable form of an Answer: the payload thermflowd's
+// disk tier stores under the job ID, and what lets a restarted backend
+// come back warm. The layout is a little-endian u16 version followed
+// by the answer's JSON wire form, so a stored answer is served exactly
+// as it was computed: encoding/json writes each float64 in the
+// shortest form that parses back to the same bits.
 
-// compiledCodecVersion versions the EncodeCompiled layout. Bump it on
-// any change: stale disk entries then fail to decode, count as
-// corrupt, and are deleted — a clean format migration.
-const compiledCodecVersion = 1
+// answerCodecVersion versions the answer encoding. Bump it on any
+// change: entries of another version fail to decode, count as corrupt
+// and are deleted, so the job recomputes. Version 1 was the layout of
+// the whole compilation (allocated IR, register assignment and every
+// thermal state) that earlier releases persisted.
+const answerCodecVersion = 2
 
-// EncodeCompiled renders c durable. It returns cachestore.ErrUnencodable
-// (wrapped) for results that carry process-local identity and must stay
-// memory-only.
-func EncodeCompiled(c *Compiled) ([]byte, error) {
-	if c == nil || c.Alloc == nil || c.Alloc.Fn == nil || c.Program == nil || c.Program.Fn == nil {
-		return nil, fmt.Errorf("thermflow: encode: incomplete compilation: %w", cachestore.ErrUnencodable)
-	}
-	if (c.Program.Setup != nil || c.Program.Expect != nil) && c.Program.Key == "" {
-		return nil, fmt.Errorf("thermflow: encode: program with hooks but no stable key: %w", cachestore.ErrUnencodable)
-	}
-	// The textual IR lists blocks in order and the parser makes the
-	// first label the entry; a function whose entry is not its first
-	// block would come back subtly different.
-	for _, fn := range []*ir.Function{c.Alloc.Fn, c.Program.Fn} {
-		if len(fn.Blocks) == 0 || fn.Entry != fn.Blocks[0] {
-			return nil, fmt.Errorf("thermflow: encode: entry block is not first: %w", cachestore.ErrUnencodable)
-		}
-	}
-
-	optsJSON, err := c.Opts.MarshalJSON()
+// MarshalBinary renders a durably: the versioned encoding above.
+func (a *Answer) MarshalBinary() ([]byte, error) {
+	js, err := json.Marshal(a)
 	if err != nil {
-		return nil, fmt.Errorf("thermflow: encode: options: %w", err)
+		return nil, fmt.Errorf("thermflow: encode answer: %w", err)
 	}
-
-	b := binary.LittleEndian.AppendUint16(nil, compiledCodecVersion)
-	b = binenc.AppendBytes(b, optsJSON)
-
-	sameFn := c.Program.Fn == c.Alloc.Fn
-	var flags byte
-	if sameFn {
-		flags |= 1
-	}
-	if c.Thermal != nil {
-		flags |= 2
-	}
-	b = append(b, flags)
-	b = binenc.AppendString(b, c.Program.Key)
-	b = binenc.AppendString(b, c.Alloc.Fn.String())
-	if !sameFn {
-		b = binenc.AppendString(b, c.Program.Fn.String())
-	}
-
-	// Register assignment, by value name (only assigned values; the
-	// rest decode to -1).
-	assigned := 0
-	for _, reg := range c.Alloc.RegOf {
-		if reg >= 0 {
-			assigned++
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(assigned))
-	for _, v := range c.Alloc.Fn.Values() {
-		if reg := c.Alloc.RegOf[v.ID]; reg >= 0 {
-			b = binenc.AppendString(b, v.Name)
-			b = binary.AppendVarint(b, int64(reg))
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(c.Alloc.Spilled)))
-	for _, name := range c.Alloc.Spilled {
-		b = binenc.AppendString(b, name)
-	}
-	b = binary.AppendUvarint(b, uint64(c.Alloc.SpillLoads))
-	b = binary.AppendUvarint(b, uint64(c.Alloc.SpillStores))
-	b = binary.AppendUvarint(b, uint64(c.Alloc.Rounds))
-
-	if c.Thermal != nil {
-		if b, err = tdfa.EncodeResult(b, c.Thermal); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+	return append(binary.LittleEndian.AppendUint16(make([]byte, 0, 2+len(js)), answerCodecVersion), js...), nil
 }
 
-// DecodeCompiled reverses EncodeCompiled. Every structural mismatch is
-// an error (the cache layer treats it as a corrupt entry), never a
-// panic.
-//
-// The decoded Program is reconstructed from the persisted IR text and
-// Key. When the Key names a built-in kernel whose current definition
-// matches the persisted text, the canonical kernel Program is used —
-// hooks (Setup/Expect) and all — so a disk-served kernel result
-// validates and simulates exactly like a freshly compiled one. For
-// any other keyed program the hooks cannot be reconstructed and are
-// nil.
-func DecodeCompiled(data []byte) (*Compiled, error) {
-	r := binenc.NewReader(data)
-	if v := r.U16(); v != compiledCodecVersion {
-		return nil, fmt.Errorf("thermflow: decode: codec version %d, want %d", v, compiledCodecVersion)
-	}
-	optsJSON := r.Bytes()
-	flags := r.Byte()
-	progKey := r.Str()
-	allocText := r.Str()
-	sameFn := flags&1 != 0
-	progText := ""
-	if !sameFn {
-		progText = r.Str()
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("thermflow: decode: %w", err)
-	}
+// EncodeCompiled writes the durable form of c's answer (see
+// MarshalBinary).
+func EncodeCompiled(c *Compiled) ([]byte, error) { return c.Answer().MarshalBinary() }
 
-	var opts Options
-	if err := opts.UnmarshalJSON(optsJSON); err != nil {
-		return nil, fmt.Errorf("thermflow: decode: options: %w", err)
+// DecodeCompiled reads the durable form of an answer. It accepts only
+// what MarshalBinary writes: another version, malformed or trailing
+// JSON, unknown fields and any other spelling of the same answer are
+// errors (the disk tier treats them as a corrupt entry), never a
+// panic. So a decoded answer re-encodes to the bytes it came from.
+func DecodeCompiled(data []byte) (*Answer, error) {
+	if len(data) < 2 {
+		return nil, errors.New("thermflow: decode answer: truncated version")
 	}
-	fp, err := opts.floorplan()
-	if err != nil {
-		return nil, fmt.Errorf("thermflow: decode: floorplan: %w", err)
+	if v := binary.LittleEndian.Uint16(data); v != answerCodecVersion {
+		return nil, fmt.Errorf("thermflow: decode answer: codec version %d, want %d", v, answerCodecVersion)
 	}
-
-	allocFn, err := ir.Parse(allocText)
-	if err != nil {
-		return nil, fmt.Errorf("thermflow: decode: allocated function: %w", err)
+	a := new(Answer)
+	if err := json.Unmarshal(data[2:], a); err != nil {
+		return nil, fmt.Errorf("thermflow: decode answer: %w", err)
 	}
-	progFn := allocFn
-	if !sameFn {
-		if progFn, err = ir.Parse(progText); err != nil {
-			return nil, fmt.Errorf("thermflow: decode: source function: %w", err)
-		}
+	if js, err := json.Marshal(a); err != nil || !bytes.Equal(js, data[2:]) {
+		return nil, errors.New("thermflow: decode answer: not in canonical form")
 	}
-
-	alloc := &regalloc.Allocation{
-		Fn:     allocFn,
-		RegOf:  make([]int, allocFn.NumValues()),
-		Policy: opts.Policy,
-		FP:     fp,
-	}
-	for i := range alloc.RegOf {
-		alloc.RegOf[i] = -1
-	}
-	nassigned := r.Count()
-	for i := 0; i < nassigned && r.Err() == nil; i++ {
-		name := r.Str()
-		reg := int(r.Varint())
-		if r.Err() != nil {
-			break
-		}
-		v := allocFn.ValueNamed(name)
-		if v == nil {
-			return nil, fmt.Errorf("thermflow: decode: assignment names unknown value %q", name)
-		}
-		if reg < 0 || reg >= fp.NumRegs {
-			return nil, fmt.Errorf("thermflow: decode: value %q assigned out-of-range register %d", name, reg)
-		}
-		alloc.RegOf[v.ID] = reg
-	}
-	nspilled := r.Count()
-	for i := 0; i < nspilled && r.Err() == nil; i++ {
-		alloc.Spilled = append(alloc.Spilled, r.Str())
-	}
-	alloc.SpillLoads = int(r.Uvarint())
-	alloc.SpillStores = int(r.Uvarint())
-	alloc.Rounds = int(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("thermflow: decode: %w", err)
-	}
-
-	c := &Compiled{
-		Program: decodedProgram(progKey, progFn),
-		Alloc:   alloc,
-		Opts:    opts,
-		fp:      fp,
-		tech:    opts.tech(),
-	}
-	if flags&2 != 0 {
-		res, err := tdfa.DecodeResult(r.Rest(), allocFn)
-		if err != nil {
-			return nil, err
-		}
-		c.Thermal = res
-	} else if r.Len() != 0 {
-		return nil, fmt.Errorf("thermflow: decode: %d trailing bytes", r.Len())
-	}
-	return c, nil
-}
-
-// kernelKeyPrefix marks Program.Key values minted by Kernel.
-const kernelKeyPrefix = "kernel:"
-
-// decodedProgram rebuilds the result's Program. A kernel key resolves
-// back through the workload registry so the decoded Program regains
-// its Setup/Expect hooks — but only when the registry's current IR
-// matches the persisted text (a changed kernel definition means the
-// hooks may no longer describe this program; then the parsed text
-// stands alone, hook-less).
-func decodedProgram(key string, fn *ir.Function) *Program {
-	if name, ok := strings.CutPrefix(key, kernelKeyPrefix); ok {
-		if k, err := Kernel(name); err == nil && k.Fn.String() == fn.String() {
-			return k
-		}
-	}
-	return &Program{Fn: fn, Key: key}
-}
-
-// compiledCodec adapts the Compiled codec to the cache store. Anything
-// that is not a *Compiled — in particular the batch layer's cached
-// failures — is unencodable and stays memory-only.
-type compiledCodec struct{}
-
-func (compiledCodec) Encode(v any) ([]byte, error) {
-	c, ok := v.(*Compiled)
-	if !ok {
-		return nil, cachestore.ErrUnencodable
-	}
-	return EncodeCompiled(c)
-}
-
-func (compiledCodec) Decode(data []byte) (any, error) {
-	return DecodeCompiled(data)
-}
-
-// compiledSize estimates a cache entry's resident footprint for the
-// memory tier's byte cap. Thermal states dominate: one float64 per
-// grid cell per program point, across instruction and block states.
-func compiledSize(v any) int64 {
-	c, ok := v.(*Compiled)
-	if !ok {
-		return 512 // cached failures and other small residue
-	}
-	const perInstr = 160 // rough IR + assignment cost per instruction
-	size := int64(2048)
-	if c.Alloc != nil && c.Alloc.Fn != nil {
-		size += int64(c.Alloc.Fn.NumInstrs()) * perInstr
-	}
-	if t := c.Thermal; t != nil {
-		cells := int64(len(t.Peak))
-		states := int64(len(t.InstrState)+len(t.BlockIn)) + 2
-		size += states * (cells*8 + 32)
-		size += int64(len(t.RegPeak)+len(t.DeltaHistory)) * 8
-		size += int64(len(t.Critical)) * 64
-	}
-	return size
+	return a, nil
 }

@@ -81,3 +81,52 @@ func FuzzJobSpecDeadline(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeCompiled drives the answer decoder — what the disk tier
+// runs over whatever a cache directory holds — with arbitrary bytes.
+// The invariants: decoding never panics, and a successful decode
+// re-encodes to exactly the bytes it came from, so an answer served
+// from disk is the answer that was stored. Seeds: a kernel's encoded
+// answer and every truncation of it, a payload framed like the
+// version-1 whole-compilation layout earlier releases persisted, and
+// empty input.
+func FuzzDecodeCompiled(f *testing.F) {
+	p, err := Kernel("fir")
+	if err != nil {
+		f.Fatal(err)
+	}
+	c, err := p.Compile(Options{Policy: Chessboard, NumRegs: 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc, err := EncodeCompiled(c)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if a, err := DecodeCompiled(enc); err != nil || a.PeakTemp != c.Thermal.PeakTemp {
+		f.Fatalf("kernel answer does not decode: %v", err)
+	}
+	for n := 0; n <= len(enc); n++ {
+		f.Add(enc[:n])
+	}
+	parent := append([]byte{1, 0}, enc[2:]...)
+	if _, err := DecodeCompiled(parent); err == nil {
+		f.Fatal("a version-1 payload decoded as an answer")
+	}
+	f.Add(parent)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeCompiled(data)
+		if err != nil {
+			return // rejected input: the only requirement was not panicking
+		}
+		again, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded answer does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("decode/encode not the identity:\n  in %q\n out %q", data, again)
+		}
+	})
+}

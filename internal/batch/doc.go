@@ -5,8 +5,10 @@
 // error and panic isolation (PanicError), and a content-keyed result
 // cache with single-flight semantics so repeated configurations are
 // computed once and shared — within a Run call, across Run calls on
-// the same Runner, and (through thermflow.Batch and internal/server)
-// across HTTP clients.
+// the same Runner, and (through internal/jobs and internal/server)
+// across HTTP clients. thermflowd's Runner (jobs.NewEngine) stores each
+// job's answer under its job ID; the library's thermflow.Batch stores
+// whole compilations, memory-only.
 //
 // Runner.Run returns results in job order once everything finished.
 // Duplicate keys within one call are deduplicated up front (one

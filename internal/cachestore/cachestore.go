@@ -1,12 +1,11 @@
 // Package cachestore is the two-tier content-addressed result store
 // behind the batch engine: a byte-capped in-memory LRU tier in front
-// of an optional byte-capped on-disk tier, both keyed by the batch
-// content hash (program text + compile options). It is what turns the
-// engine's biggest measured win — the content-keyed cache — from a
-// per-process accident into a durable resource: a restarted thermflowd
-// pointed at the same directory comes back warm (ROADMAP
-// "cross-kernel cache persistence"), and neither tier can grow without
-// bound (ROADMAP "cache eviction").
+// of an optional byte-capped on-disk tier, both keyed by a content
+// hash of the job (for thermflowd, the v2 job ID over program text and
+// compile options; its values are job answers). It turns the engine's
+// content-keyed cache from a per-process accident into a durable
+// resource: a restarted thermflowd pointed at the same directory comes
+// back warm, and neither tier can grow without bound.
 //
 // Invariants:
 //

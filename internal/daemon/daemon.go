@@ -28,7 +28,7 @@ import (
 	"syscall"
 	"time"
 
-	"thermflow"
+	"thermflow/internal/cachestore"
 	"thermflow/internal/gateway"
 	"thermflow/internal/joblog"
 	"thermflow/internal/jobs"
@@ -109,7 +109,7 @@ func listen(name string, f *edgeFlags, logger *log.Logger) (*Daemon, error) {
 	}, nil
 }
 
-// Backend assembles thermflowd from its flags: the batch engine over
+// Backend assembles thermflowd from its flags: the answer engine over
 // the two-tier result cache, the durable job registry and replica
 // shelf, metrics, tracing and the middleware chain.
 func Backend(args []string, logger *log.Logger) (_ *Daemon, err error) {
@@ -148,18 +148,17 @@ func Backend(args []string, logger *log.Logger) (_ *Daemon, err error) {
 		return nil, err
 	}
 
-	b, err := thermflow.NewBatchConfig(thermflow.BatchConfig{
-		Workers:        *workers,
-		CacheMemBytes:  *cacheMemBytes,
-		CacheDir:       *cacheDir,
-		CacheDiskBytes: *cacheDiskBytes,
-		ErrTTL:         *errTTL,
+	eng, err := jobs.NewEngine(*workers, cachestore.Config{
+		MaxMemBytes:  *cacheMemBytes,
+		Dir:          *cacheDir,
+		MaxDiskBytes: *cacheDiskBytes,
 	})
 	if err != nil {
 		return nil, err
 	}
+	eng.SetErrTTL(*errTTL)
 	if *cacheDir != "" {
-		st := b.Stats()
+		st := eng.Store().Stats()
 		d.logf("disk cache at %s (%d entries, %d bytes warm)", *cacheDir, st.Disk.Entries, st.Disk.Bytes)
 	}
 
@@ -183,13 +182,13 @@ func Backend(args []string, logger *log.Logger) (_ *Daemon, err error) {
 		d.logf("durable job log at %s (%d records replayed)", *jobLogDir, len(jrec.Records))
 	}
 
-	s := server.NewConfig(b, server.Config{
+	s := server.NewConfig(eng, server.Config{
 		Jobs: jobsCfg, Replicas: replicas, Metrics: metrics, Trace: tr,
 	})
 	d.closers = append(d.closers, func() error { s.Close(); return nil })
 	d.Handler = server.Chain(s, mw...)
 	d.Debug = server.DebugHandler(metrics)
-	d.banner = fmt.Sprintf("listening on %s (%d workers)", d.Addr(), b.Workers())
+	d.banner = fmt.Sprintf("listening on %s (%d workers)", d.Addr(), eng.Workers())
 	return d, nil
 }
 

@@ -19,6 +19,7 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
+	"thermflow/internal/batch"
 	"thermflow/internal/jobs"
 	"thermflow/internal/server"
 	"thermflow/internal/tenant"
@@ -27,7 +28,7 @@ import (
 // newBackend starts a real thermflowd handler over a small engine.
 func newBackend(t *testing.T) (*httptest.Server, *server.Server) {
 	t.Helper()
-	srv := server.New(thermflow.NewBatch(2))
+	srv := server.New(batch.NewRunner(2))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return ts, srv
@@ -512,7 +513,7 @@ func TestGatewayStatsSumsAdmission(t *testing.T) {
 	// One slot, a queue bound of 2 and a watermark of 1: a running job
 	// plus one queued job put the next same-priority submit at the
 	// watermark, where admission sheds it.
-	shedder := server.NewConfig(thermflow.NewBatch(1), server.Config{
+	shedder := server.NewConfig(batch.NewRunner(1), server.Config{
 		Jobs: jobs.Config{Concurrency: 1, MaxQueue: 2, QueueWatermark: 1},
 	})
 	sts := httptest.NewServer(shedder)
@@ -558,7 +559,7 @@ func slowJob(i int) api.JobRequest {
 // label of its own.
 func TestV1SurfaceGone(t *testing.T) {
 	bm := server.NewMetrics()
-	bsrv := server.NewConfig(thermflow.NewBatch(1), server.Config{Metrics: bm})
+	bsrv := server.NewConfig(batch.NewRunner(1), server.Config{Metrics: bm})
 	backend := httptest.NewServer(server.Chain(bsrv, server.WithMetrics(bm)))
 	t.Cleanup(func() { backend.Close(); bsrv.Close() })
 	gm := server.NewMetrics()
@@ -611,7 +612,7 @@ func TestV1SurfaceGone(t *testing.T) {
 // The gateway forwards Authorization to the backends, so one token
 // file can protect the whole deployment even with no edge auth.
 func TestGatewayAuthPassthrough(t *testing.T) {
-	b := server.New(thermflow.NewBatch(1))
+	b := server.New(batch.NewRunner(1))
 	backend := httptest.NewServer(server.Chain(b, server.WithAuth(server.NewTokenSet("sekrit"))))
 	t.Cleanup(func() { backend.Close(); b.Close() })
 	_, ts := newTestGateway(t, Config{}, backend.URL)
@@ -672,7 +673,7 @@ func TestGatewayStampsTenantHeader(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := map[string]string{} // request path → tenant header at the backend
-	b := server.New(thermflow.NewBatch(1))
+	b := server.New(batch.NewRunner(1))
 	t.Cleanup(b.Close)
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()

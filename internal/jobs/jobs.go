@@ -1,16 +1,18 @@
 // Package jobs layers an addressable, schedulable job lifecycle over
-// the batch compile engine: the substrate of thermflowd's HTTP API and
-// of every scaling layer above it (the sharding gateway hashes the
-// same job IDs this registry files work under).
+// the answer engine (engine.go: a batch runner that keeps each job's
+// thermflow.Answer under its ID): the substrate of thermflowd's HTTP
+// API and of every scaling layer above it (the sharding gateway hashes
+// the same job IDs this registry files work under).
 //
 // A job is a thermflow.JobSpec — canonical source plus options — whose
 // content-derived ID is its address. Submit registers the job and
 // returns immediately; the registry runs it on a bounded number of
 // engine slots (higher Priority first), walks it through
 // queued → running → done/failed/expired, and retains terminal jobs
-// for a bounded time so clients can come back for the result. Because
-// the job ID, the batch cache key and the disk-tier entry name are the
-// same hash, a duplicate submit converges on the existing job and a
+// for a bounded time so clients can come back for the result; a
+// retained job holds its answer, not the compilation behind it.
+// Because the job ID is also the result store's key and the disk-tier
+// entry name, a duplicate submit converges on the existing job and a
 // re-submit of an evicted one is answered from the result store.
 //
 // Deadlines bound a job's total lifetime from submission, queue wait
@@ -45,9 +47,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"thermflow"
+	"thermflow/internal/batch"
 	"thermflow/internal/joblog"
 	"thermflow/internal/trace"
 )
@@ -175,8 +179,8 @@ type Snapshot struct {
 	Submitted, Started, Finished time.Time
 	// Cached reports whether the result came from the result store.
 	Cached bool
-	// Compiled is the result (done only).
-	Compiled *thermflow.Compiled
+	// Answer is the result (done only).
+	Answer *thermflow.Answer
 	// Err is the failure (failed and expired only).
 	Err error
 }
@@ -202,8 +206,8 @@ type Limits struct {
 // registry mutex except done, which is closed exactly once under it.
 type job struct {
 	id       string
-	cjob     thermflow.CompileJob
-	specJSON []byte // the spec's wire form, kept for the WAL (nil when volatile)
+	cjob     thermflow.CompileJob // what to compile; dropped once terminal
+	specJSON []byte               // the spec's wire form, kept for the WAL (nil when volatile)
 	priority int
 	deadline time.Time
 	seq      uint64 // submission order, the FIFO tiebreak
@@ -230,7 +234,7 @@ type job struct {
 	state                        State
 	submitted, started, finished time.Time
 	cached                       bool
-	compiled                     *thermflow.Compiled
+	answer                       *thermflow.Answer
 	err                          error
 	done                         chan struct{}
 	qidx                         int // heap index; -1 once popped
@@ -242,7 +246,7 @@ func (j *job) effective() int { return j.priority + j.boost }
 
 // Registry is the job store and scheduler. Safe for concurrent use.
 type Registry struct {
-	b     *thermflow.Batch
+	eng   *batch.Runner
 	conc  int
 	ttl   time.Duration
 	max   int
@@ -253,6 +257,10 @@ type Registry struct {
 	snapEvery int
 
 	trace *trace.Recorder // nil disables lifecycle spans
+
+	// solverObs, when set, sees every compile's fixpoint runs (the
+	// /metrics solver histograms), beside each traced job's spans.
+	solverObs atomic.Pointer[thermflow.SolverObserver]
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -278,10 +286,11 @@ type ownerCounts struct {
 	queued, running int
 }
 
-// New builds a registry over the given engine.
-func New(b *thermflow.Batch, cfg Config) *Registry {
+// New builds a registry over the given engine, which runs each job to
+// its answer and keeps answers under their job IDs (see NewEngine).
+func New(eng *batch.Runner, cfg Config) *Registry {
 	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = b.Workers()
+		cfg.Concurrency = eng.Workers()
 	}
 	if cfg.TTL <= 0 {
 		cfg.TTL = DefaultTTL
@@ -311,7 +320,7 @@ func New(b *thermflow.Batch, cfg Config) *Registry {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Registry{
-		b: b, conc: cfg.Concurrency, ttl: cfg.TTL, max: cfg.MaxJobs,
+		eng: eng, conc: cfg.Concurrency, ttl: cfg.TTL, max: cfg.MaxJobs,
 		clock: cfg.Clock, after: cfg.AfterFunc,
 		log: cfg.Log, snapEvery: cfg.SnapshotEvery,
 		trace:    cfg.Trace,
@@ -329,6 +338,13 @@ func New(b *thermflow.Batch, cfg Config) *Registry {
 	}
 	return r
 }
+
+// SetSolverObserver installs obs as the registry's solver-timing
+// observer: every compile a job runs from now on reports its fixpoint
+// runs (solver name, wall-clock seconds, convergence) to obs. nil
+// removes it. Safe to call concurrently with compiles; observation
+// never influences results.
+func (r *Registry) SetSolverObserver(obs thermflow.SolverObserver) { r.solverObs.Store(&obs) }
 
 // Close cancels the contexts of running jobs (they finish as failed)
 // and stops accepting the results of queued ones being dispatched.
@@ -713,7 +729,7 @@ func (r *Registry) dispatchLocked() {
 		ctx, cancel := context.WithCancel(r.ctx)
 		j.cancel = cancel
 		r.armLocked(j, now)
-		go r.run(ctx, j)
+		go r.run(ctx, j, j.cjob)
 	}
 	for _, j := range parked {
 		heap.Push(&r.queue, j)
@@ -721,26 +737,17 @@ func (r *Registry) dispatchLocked() {
 }
 
 // run executes one dispatched job under ctx, which its expiry (or
-// Close) cancels, and finalizes it.
-func (r *Registry) run(ctx context.Context, j *job) {
-	if j.tr.Valid() && r.trace != nil {
-		// Each solver pass inside the compile reports through the
-		// context observer; recorded as job.solve children of the run
-		// span so solver time is separable from engine overhead.
-		ctx = thermflow.WithSolverObserver(ctx, func(solver string, seconds float64, converged bool) {
-			end := r.clock()
-			dur := time.Duration(seconds * float64(time.Second))
-			r.trace.Record(j.id, trace.Span{
-				TraceID: j.tr.TraceID, SpanID: trace.NewSpanID(), Parent: j.runSpan,
-				Name: "job.solve", Start: end.Add(-dur), Duration: dur,
-				Attrs: map[string]string{
-					"solver":    solver,
-					"converged": fmt.Sprintf("%t", converged),
-				},
-			})
-		})
-	}
-	res := r.b.Compile(ctx, []thermflow.CompileJob{j.cjob})[0]
+// Close) cancels, and finalizes it. The engine files the answer under
+// the job ID; the compilation it came from is garbage once run returns.
+func (r *Registry) run(ctx context.Context, j *job, cj thermflow.CompileJob) {
+	ctx = thermflow.WithSolverObserver(ctx, r.solverObserver(j))
+	res := r.eng.Run(ctx, []batch.Job{{Key: j.id, Fn: func(ctx context.Context) (any, error) {
+		c, err := cj.Program.CompileContext(ctx, cj.Opts)
+		if err != nil {
+			return nil, err
+		}
+		return c.Answer(), nil
+	}}})[0]
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -748,17 +755,47 @@ func (r *Registry) run(ctx context.Context, j *job) {
 	// A job its timer expired is already terminal; finishLocked leaves
 	// it be.
 	if res.Err == nil {
-		r.finishLocked(j, StateDone, res.Compiled, res.Cached, nil)
+		a, _ := res.Value.(*thermflow.Answer)
+		r.finishLocked(j, StateDone, a, res.Cached, nil)
 	} else {
 		r.finishLocked(j, StateFailed, nil, res.Cached, res.Err)
 	}
 	r.dispatchLocked()
 }
 
+// solverObserver is what j's compile reports its fixpoint runs to: the
+// registry-wide observer and, for a traced job, a job.solve span per
+// run under the job's run span, so solver time is separable from
+// engine overhead. Nil when neither applies.
+func (r *Registry) solverObserver(j *job) thermflow.SolverObserver {
+	var engine thermflow.SolverObserver
+	if obs := r.solverObs.Load(); obs != nil {
+		engine = *obs
+	}
+	if !j.tr.Valid() || r.trace == nil {
+		return engine
+	}
+	return func(solver string, seconds float64, converged bool) {
+		if engine != nil {
+			engine(solver, seconds, converged)
+		}
+		end := r.clock()
+		dur := time.Duration(seconds * float64(time.Second))
+		r.trace.Record(j.id, trace.Span{
+			TraceID: j.tr.TraceID, SpanID: trace.NewSpanID(), Parent: j.runSpan,
+			Name: "job.solve", Start: end.Add(-dur), Duration: dur,
+			Attrs: map[string]string{
+				"solver":    solver,
+				"converged": fmt.Sprintf("%t", converged),
+			},
+		})
+	}
+}
+
 // finishLocked moves a job to a terminal state exactly once. A job
 // still sitting in the queue (expired before dispatch) is removed from
 // the heap so it neither occupies a slot's pop nor lingers in memory.
-func (r *Registry) finishLocked(j *job, state State, c *thermflow.Compiled, cached bool, err error) {
+func (r *Registry) finishLocked(j *job, state State, a *thermflow.Answer, cached bool, err error) {
 	if j.state.Terminal() {
 		return
 	}
@@ -781,7 +818,8 @@ func (r *Registry) finishLocked(j *job, state State, c *thermflow.Compiled, cach
 		j.cancel = nil
 	}
 	j.state = state
-	j.compiled = c
+	j.cjob = thermflow.CompileJob{}
+	j.answer = a
 	j.cached = cached
 	j.err = err
 	j.finished = r.clock()
@@ -924,7 +962,7 @@ func snapshotOf(j *job) Snapshot {
 	return Snapshot{
 		ID: j.id, State: j.state, Priority: j.priority, Deadline: j.deadline,
 		Submitted: j.submitted, Started: j.started, Finished: j.finished,
-		Cached: j.cached, Compiled: j.compiled, Err: j.err,
+		Cached: j.cached, Answer: j.answer, Err: j.err,
 	}
 }
 

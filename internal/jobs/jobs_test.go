@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"thermflow"
+	"thermflow/internal/batch"
 	"thermflow/internal/trace"
 )
 
@@ -52,7 +53,7 @@ func slowSpec(t *testing.T, i int) thermflow.JobSpec {
 
 // The core lifecycle: submit → queued/running → done with a result.
 func TestSubmitPollDone(t *testing.T) {
-	r := New(thermflow.NewBatch(2), Config{})
+	r := New(batch.NewRunner(2), Config{})
 	defer r.Close()
 	spec := kernelSpec(t, "dot", thermflow.Options{})
 
@@ -75,10 +76,10 @@ func TestSubmitPollDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateDone || final.Compiled == nil || final.Err != nil {
+	if final.State != StateDone || final.Answer == nil || final.Err != nil {
 		t.Fatalf("final snapshot: %+v", final)
 	}
-	if final.Compiled.Thermal == nil || !final.Compiled.Thermal.Converged {
+	if !final.Answer.Converged {
 		t.Error("result has no converged analysis")
 	}
 
@@ -87,7 +88,7 @@ func TestSubmitPollDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != StateDone || got.Compiled != final.Compiled {
+	if got.State != StateDone || got.Answer != final.Answer {
 		t.Errorf("Get after done: %+v", got)
 	}
 }
@@ -95,7 +96,7 @@ func TestSubmitPollDone(t *testing.T) {
 // Duplicate submits of the same spec converge on one job and one
 // compilation; scheduling hints do not fork identity.
 func TestDuplicateSubmitSameJob(t *testing.T) {
-	b := thermflow.NewBatch(2)
+	b := batch.NewRunner(2)
 	r := New(b, Config{})
 	defer r.Close()
 	spec := kernelSpec(t, "fir", thermflow.Options{Policy: thermflow.Chessboard})
@@ -125,14 +126,14 @@ func TestDuplicateSubmitSameJob(t *testing.T) {
 	if err != nil || created {
 		t.Fatalf("post-completion submit: %v created=%v", err, created)
 	}
-	if done.State != StateDone || done.Compiled == nil {
+	if done.State != StateDone || done.Answer == nil {
 		t.Errorf("post-completion submit snapshot: %+v", done)
 	}
 }
 
 // A compile failure is a failed job, isolated and reported.
 func TestFailedJob(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{})
+	r := New(batch.NewRunner(1), Config{})
 	defer r.Close()
 	// 64 registers cannot fit a 2x2 grid: allocation fails fast.
 	spec := kernelSpec(t, "dot", thermflow.Options{GridW: 2, GridH: 2})
@@ -144,7 +145,7 @@ func TestFailedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateFailed || final.Err == nil || final.Compiled != nil {
+	if final.State != StateFailed || final.Err == nil || final.Answer != nil {
 		t.Fatalf("final snapshot: %+v", final)
 	}
 	// A new submit of the spec runs it again (the engine's failure
@@ -162,7 +163,7 @@ func TestFailedJob(t *testing.T) {
 // and every polling path observes it.
 func TestQueuedJobExpires(t *testing.T) {
 	clk := newFakeClock()
-	b := thermflow.NewBatch(1)
+	b := batch.NewRunner(1)
 	r := New(b, Config{Concurrency: 1, Clock: clk.Now})
 	defer r.Close()
 
@@ -250,7 +251,7 @@ func (l *timerLog) fireAll() {
 func TestConvergingSubmitKeepsLaterDeadline(t *testing.T) {
 	clk := newFakeClock()
 	timers := &timerLog{}
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, Clock: clk.Now, AfterFunc: timers.after})
+	r := New(batch.NewRunner(1), Config{Concurrency: 1, Clock: clk.Now, AfterFunc: timers.after})
 	defer r.Close()
 
 	// Queued: another request's 10 ms deadline, then a submit with none.
@@ -316,7 +317,7 @@ func TestConvergingSubmitKeepsLaterDeadline(t *testing.T) {
 // running must not orphan their status entries — the registry keeps
 // every job addressable and they all complete.
 func TestCacheResetDoesNotOrphanJobs(t *testing.T) {
-	b := thermflow.NewBatch(1)
+	b := batch.NewRunner(1)
 	r := New(b, Config{Concurrency: 1})
 	defer r.Close()
 
@@ -342,7 +343,7 @@ func TestCacheResetDoesNotOrphanJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap.State != StateDone || snap.Compiled == nil {
+		if snap.State != StateDone || snap.Answer == nil {
 			t.Fatalf("job %s after reset: %+v", id, snap)
 		}
 	}
@@ -350,7 +351,7 @@ func TestCacheResetDoesNotOrphanJobs(t *testing.T) {
 
 // Higher priority runs first when a slot frees.
 func TestPriorityOrdersQueue(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1})
+	r := New(batch.NewRunner(1), Config{Concurrency: 1})
 	defer r.Close()
 
 	if _, _, err := r.Submit(slowSpec(t, 0)); err != nil {
@@ -389,7 +390,7 @@ func TestPriorityOrdersQueue(t *testing.T) {
 // capacity bound with only live jobs, Submit refuses.
 func TestRetentionAndCapacity(t *testing.T) {
 	clk := newFakeClock()
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, TTL: time.Minute, MaxJobs: 2, Clock: clk.Now})
+	r := New(batch.NewRunner(1), Config{Concurrency: 1, TTL: time.Minute, MaxJobs: 2, Clock: clk.Now})
 	defer r.Close()
 
 	quick := kernelSpec(t, "dot", thermflow.Options{})
@@ -431,7 +432,7 @@ func TestRetentionAndCapacity(t *testing.T) {
 
 // Wait honours its context while the job keeps running.
 func TestWaitContextCancellation(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1})
+	r := New(batch.NewRunner(1), Config{Concurrency: 1})
 	defer r.Close()
 	snap, _, err := r.Submit(slowSpec(t, 20))
 	if err != nil {
@@ -454,7 +455,7 @@ func TestWaitContextCancellation(t *testing.T) {
 }
 
 func TestUnknownJob(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{})
+	r := New(batch.NewRunner(1), Config{})
 	defer r.Close()
 	if _, err := r.Get("deadbeef"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get unknown: %v", err)
@@ -468,7 +469,7 @@ func TestUnknownJob(t *testing.T) {
 // retention evicted the finished job to make room, Wait by ID is
 // ErrNotFound but the submitter's Handle still answers with the result.
 func TestHandleWaitOutlivesEviction(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, MaxJobs: 1})
+	r := New(batch.NewRunner(1), Config{Concurrency: 1, MaxJobs: 1})
 	defer r.Close()
 
 	h, created, err := r.SubmitTraced(kernelSpec(t, "dot", thermflow.Options{}), Limits{}, trace.SpanContext{})
@@ -487,7 +488,7 @@ func TestHandleWaitOutlivesEviction(t *testing.T) {
 		t.Fatalf("Wait by evicted ID: %v, want ErrNotFound", err)
 	}
 	got, err := h.Wait(context.Background())
-	if err != nil || got.ID != h.ID || got.State != StateDone || got.Compiled == nil {
+	if err != nil || got.ID != h.ID || got.State != StateDone || got.Answer == nil {
 		t.Fatalf("Handle.Wait after eviction: %+v, %v; want the done job", got, err)
 	}
 	if _, err := r.Wait(context.Background(), next.ID); err != nil {
@@ -518,7 +519,7 @@ func prioritySpec(t *testing.T, i, priority int) thermflow.JobSpec {
 // displaces a strictly lower-priority victim or is refused. Sheds are
 // counted and attributed by tenant class.
 func TestAdmissionWatermarkAndDisplacement(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, MaxQueue: 4, QueueWatermark: 2})
+	r := New(batch.NewRunner(1), Config{Concurrency: 1, MaxQueue: 4, QueueWatermark: 2})
 	defer r.Close()
 
 	// One heavy job holds the single slot; everything after it queues.
@@ -607,7 +608,7 @@ func TestAdmissionWatermarkAndDisplacement(t *testing.T) {
 // fault, not the pool's — while other tenants keep entering, and no
 // pool shed is counted.
 func TestTenantQueueQuota(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1})
+	r := New(batch.NewRunner(1), Config{Concurrency: 1})
 	defer r.Close()
 
 	if _, _, err := r.Submit(heavySpec(t, 1)); err != nil {
@@ -633,7 +634,7 @@ func TestTenantQueueQuota(t *testing.T) {
 // later, lower-priority work from other tenants dispatches past it,
 // and the parked job starts once the owner's slot frees.
 func TestMaxRunningParksOwner(t *testing.T) {
-	r := New(thermflow.NewBatch(2), Config{Concurrency: 2})
+	r := New(batch.NewRunner(2), Config{Concurrency: 2})
 	defer r.Close()
 
 	acme := Limits{Owner: "acme", MaxRunning: 1}
@@ -688,7 +689,7 @@ func TestMaxRunningParksOwner(t *testing.T) {
 // dispatches when the slot frees.
 func TestPriorityAgingUnstarvesTenant(t *testing.T) {
 	clk := newFakeClock()
-	r := New(thermflow.NewBatch(1), Config{
+	r := New(batch.NewRunner(1), Config{
 		Concurrency: 1, MaxQueue: 2, QueueWatermark: 1,
 		AgeStep: 5, AgePeriod: time.Minute, Clock: clk.Now,
 	})

@@ -17,13 +17,13 @@ import (
 // This file is the registry's durability layer: every lifecycle
 // transition appends one record to a joblog WAL, and New replays the
 // log so a kill -9'd backend comes back knowing every job it ever
-// answered. Terminal results are NOT stored in the log — the compile
-// result already lives in the content-addressed result store under the
-// same ID, so replay re-materializes a done job by looking its own ID
-// up in the disk tier (Batch.Lookup). The log holds only what the
-// store cannot: the lifecycle (states, timestamps, error text) and the
-// job's spec, which is what lets a queued or crash-interrupted job
-// re-enter the priority heap and recompute.
+// answered. Terminal results are NOT stored in the log — the job's
+// answer already lives in the engine's content-addressed store under
+// the same ID, so replay re-materializes a done job by looking its own
+// ID up there (in the disk tier, after a restart). The log holds only
+// what the store cannot: the lifecycle (states, timestamps, error
+// text) and the job's spec, which is what lets a queued or
+// crash-interrupted job re-enter the priority heap and recompute.
 
 // WAL record types.
 const (
@@ -292,12 +292,14 @@ func (r *Registry) materializeLocked(p persistedJob, now time.Time) replayOutcom
 
 	switch {
 	case p.State == StateDone:
-		if c, ok := r.b.Lookup(p.ID); ok {
-			// Served from the disk tier: the same bytes the pre-crash
-			// process answered with, marked cached like any store hit.
-			installTerminal(StateDone, true, nil)
-			j.compiled = c
-			return replayRestored
+		if v, ok := r.eng.Store().Get(p.ID); ok {
+			if a, ok := v.(*thermflow.Answer); ok {
+				// Served from the disk tier: the answer the pre-crash
+				// process served, marked cached like any store hit.
+				installTerminal(StateDone, true, nil)
+				j.answer = a
+				return replayRestored
+			}
 		}
 	case p.State.Terminal():
 		var err error

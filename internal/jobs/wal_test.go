@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"thermflow"
+	"thermflow/internal/batch"
+	"thermflow/internal/cachestore"
 	"thermflow/internal/joblog"
 )
 
@@ -34,7 +36,7 @@ func newDurableDirs(t *testing.T) durableDirs {
 // incarnation left behind.
 func (d durableDirs) open(t *testing.T, cfg Config) (*Registry, *joblog.Log) {
 	t.Helper()
-	b, err := thermflow.NewBatchConfig(thermflow.BatchConfig{Workers: 2, CacheDir: d.cache})
+	b, err := NewEngine(2, cachestore.Config{Dir: d.cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +104,8 @@ func TestReplayRestoresTerminalResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %s vanished across restart: %v", id, err)
 		}
-		if snap.State != StateDone || snap.Compiled == nil {
-			t.Fatalf("replayed job %s: state %s, compiled %v", id, snap.State, snap.Compiled != nil)
+		if snap.State != StateDone || snap.Answer == nil {
+			t.Fatalf("replayed job %s: state %s, answer %v", id, snap.State, snap.Answer != nil)
 		}
 		if !snap.Cached {
 			t.Errorf("replayed job %s not marked cached (it was served from the store)", id)
@@ -146,7 +148,7 @@ func TestReplayKeepsJobRegisteredOverExpiredOne(t *testing.T) {
 	r2, l2 := dirs.open(t, Config{Clock: clk.Now})
 	defer crash(r2, l2)
 	got, err := r2.Get(first.ID)
-	if err != nil || got.State != StateDone || got.Compiled == nil {
+	if err != nil || got.State != StateDone || got.Answer == nil {
 		t.Fatalf("replayed job: %+v, %v; want the fresh job, done", got, err)
 	}
 }
@@ -235,7 +237,7 @@ func TestReplayPropertyRandomCrashPoints(t *testing.T) {
 					t.Fatalf("round %d: job %s replayed as %s, was %s pre-crash",
 						round, id, snap.State, pre.State)
 				}
-				if pre.State == StateDone && snap.Compiled == nil {
+				if pre.State == StateDone && snap.Answer == nil {
 					t.Fatalf("round %d: done job %s replayed without a result", round, id)
 				}
 			}
@@ -305,7 +307,7 @@ func TestReplayTornTailDiscarded(t *testing.T) {
 // retained jobs, and Running excludes the zombie slot.
 func TestStatsExcludesLazilyExpiredRunningSlot(t *testing.T) {
 	clk := newFakeClock()
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, Clock: clk.Now})
+	r := New(batch.NewRunner(1), Config{Concurrency: 1, Clock: clk.Now})
 	defer r.Close()
 	snap, _, err := r.Submit(slowSpec(t, 50))
 	if err != nil {
@@ -361,7 +363,7 @@ func TestDeadlineTimersThroughInjectedFactory(t *testing.T) {
 		fire = f
 		return &fakeTimer{}
 	}
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, Clock: clk.Now, AfterFunc: after})
+	r := New(batch.NewRunner(1), Config{Concurrency: 1, Clock: clk.Now, AfterFunc: after})
 	defer r.Close()
 
 	// Occupy the only slot so the deadlined job stays queued — there

@@ -10,20 +10,23 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
+	"thermflow/internal/cachestore"
+	"thermflow/internal/jobs"
 )
 
-// newDiskServer serves an engine with a disk tier in dir over a
-// noRetention registry, so repeats reach the tiers.
-func newDiskServer(t *testing.T, dir string, workers int) (*httptest.Server, *thermflow.Batch) {
+// newDiskServer serves the answer engine with a disk tier in dir (none
+// when dir is empty) under cfg; with noRetention, repeats reach the
+// tiers.
+func newDiskServer(t *testing.T, dir string, cfg Config) (*httptest.Server, *Server) {
 	t.Helper()
-	b, err := thermflow.NewBatchConfig(thermflow.BatchConfig{Workers: workers, CacheDir: dir})
+	eng, err := jobs.NewEngine(2, cachestore.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewConfig(b, noRetention)
+	srv := NewConfig(eng, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	return ts, b
+	return ts, srv
 }
 
 // GET /v2/stats must expose both cache tiers; without -cache-dir the
@@ -58,14 +61,14 @@ func TestRestartedServerComesBackWarm(t *testing.T) {
 	dir := t.TempDir()
 	req := api.JobRequest{Kernel: "matmul", Options: thermflow.Options{Policy: thermflow.Chessboard}}
 
-	ts1, _ := newDiskServer(t, dir, 2)
+	ts1, _ := newDiskServer(t, dir, noRetention)
 	first := compileOne(t, client.New(ts1.URL, nil), req)
 	if first.Cached {
 		t.Error("cold compile reported Cached")
 	}
 	ts1.Close()
 
-	ts2, _ := newDiskServer(t, dir, 2)
+	ts2, _ := newDiskServer(t, dir, noRetention)
 	cl := client.New(ts2.URL, nil)
 	second := compileOne(t, cl, req)
 	if !second.Cached {
@@ -92,7 +95,7 @@ func TestRestartedServerComesBackWarm(t *testing.T) {
 // stays cold.
 func TestCacheResetZeroesBothTiers(t *testing.T) {
 	dir := t.TempDir()
-	ts, _ := newDiskServer(t, dir, 2)
+	ts, _ := newDiskServer(t, dir, noRetention)
 	cl := client.New(ts.URL, nil)
 	for _, kernel := range []string{"dot", "fib"} {
 		compileOne(t, cl, api.JobRequest{Kernel: kernel})
@@ -118,7 +121,7 @@ func TestCacheResetZeroesBothTiers(t *testing.T) {
 	}
 	ts.Close()
 
-	ts2, _ := newDiskServer(t, dir, 2)
+	ts2, _ := newDiskServer(t, dir, noRetention)
 	if resp := compileOne(t, client.New(ts2.URL, nil), api.JobRequest{Kernel: "dot"}); resp.Cached {
 		t.Error("reset disk entries survived a restart")
 	}

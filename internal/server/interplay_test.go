@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"thermflow"
 	"thermflow/api"
+	"thermflow/internal/batch"
 )
 
 // These tests pin down how the middleware compose — the interactions
@@ -42,7 +42,7 @@ func slowBatchBody(n int) string {
 // under WithTimeout: the deadline must not 503 or truncate a live,
 // flushing stream that is making progress.
 func TestTimeoutDoesNotCutCompletingStream(t *testing.T) {
-	s := New(thermflow.NewBatch(2))
+	s := New(batch.NewRunner(2))
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(Chain(s, WithTimeout(time.Minute)))
 	t.Cleanup(ts.Close)
@@ -81,7 +81,7 @@ func TestTimeoutDoesNotCutCompletingStream(t *testing.T) {
 // a 200 whose stream simply ends (items flushed before the deadline
 // intact), and the connection closes promptly instead of hanging.
 func TestTimeoutMidStreamEndsWithoutLate503(t *testing.T) {
-	s := New(thermflow.NewBatch(1))
+	s := New(batch.NewRunner(1))
 	t.Cleanup(s.Close)
 	// One worker serializes the slow jobs; the deadline lands while
 	// later jobs are still queued.

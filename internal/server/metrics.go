@@ -8,7 +8,8 @@ import (
 	"strings"
 	"time"
 
-	"thermflow"
+	"thermflow/internal/batch"
+	"thermflow/internal/cachestore"
 	"thermflow/internal/jobs"
 	"thermflow/internal/telemetry"
 )
@@ -141,9 +142,9 @@ func DebugHandler(m *Metrics) http.Handler {
 // InstrumentEngine attaches the compile-engine and job-registry series:
 // jobs by state, registry capacity/concurrency, batch single-flight
 // inflight, cache hit/miss/panic counters, per-tier cache gauges, and
-// the solver wall-clock histograms (installed as b's solver observer).
-// Call once per engine; nil-safe on every argument.
-func (m *Metrics) InstrumentEngine(b *thermflow.Batch, jr *jobs.Registry) {
+// the solver wall-clock histograms (installed as jr's solver
+// observer). Call once per engine; nil-safe on every argument.
+func (m *Metrics) InstrumentEngine(eng *batch.Runner, jr *jobs.Registry) {
 	if m == nil {
 		return
 	}
@@ -183,17 +184,27 @@ func (m *Metrics) InstrumentEngine(b *thermflow.Batch, jr *jobs.Registry) {
 				}
 				return out
 			})
+		solverSeconds := m.reg.HistogramVec("thermflow_solver_seconds",
+			"Thermal-analysis fixpoint wall-clock seconds, by solver.",
+			nil, "solver")
+		solverRuns := m.reg.CounterVec("thermflow_solver_runs_total",
+			"Thermal-analysis fixpoint runs, by solver and convergence.",
+			"solver", "converged")
+		jr.SetSolverObserver(func(solver string, seconds float64, converged bool) {
+			solverSeconds.With(solver).Observe(seconds)
+			solverRuns.With(solver, strconv.FormatBool(converged)).Inc()
+		})
 	}
-	if b == nil {
+	if eng == nil {
 		return
 	}
 	m.reg.GaugeFunc("thermflow_batch_inflight",
 		"Keyed compilations currently holding a single-flight slot.",
-		func() float64 { return float64(b.Inflight()) })
+		func() float64 { return float64(eng.Inflight()) })
 	m.reg.Collect("thermflow_cache_requests_total",
 		"Engine cache lookups, by outcome (hit, miss, panic).",
 		telemetry.TypeCounter, []string{"outcome"}, func() []telemetry.Sample {
-			st := b.Stats()
+			st := eng.Stats()
 			return []telemetry.Sample{
 				{Labels: []string{"hit"}, Value: float64(st.Hits)},
 				{Labels: []string{"miss"}, Value: float64(st.Misses)},
@@ -203,12 +214,12 @@ func (m *Metrics) InstrumentEngine(b *thermflow.Batch, jr *jobs.Registry) {
 	m.reg.Collect("thermflow_cache_tier_events_total",
 		"Cache tier activity, by tier (memory, disk) and event.",
 		telemetry.TypeCounter, []string{"tier", "event"}, func() []telemetry.Sample {
-			st := b.Stats()
+			st := eng.Store().Stats()
 			out := make([]telemetry.Sample, 0, 10)
 			for _, t := range []struct {
 				name string
-				s    thermflow.CacheTierStats
-			}{{"memory", st.Memory}, {"disk", st.Disk}} {
+				s    cachestore.TierStats
+			}{{"memory", st.Mem}, {"disk", st.Disk}} {
 				out = append(out,
 					telemetry.Sample{Labels: []string{t.name, "hit"}, Value: float64(t.s.Hits)},
 					telemetry.Sample{Labels: []string{t.name, "miss"}, Value: float64(t.s.Misses)},
@@ -222,32 +233,22 @@ func (m *Metrics) InstrumentEngine(b *thermflow.Batch, jr *jobs.Registry) {
 	m.reg.Collect("thermflow_cache_tier_bytes",
 		"Bytes resident per cache tier.",
 		telemetry.TypeGauge, []string{"tier"}, func() []telemetry.Sample {
-			st := b.Stats()
+			st := eng.Store().Stats()
 			return []telemetry.Sample{
-				{Labels: []string{"memory"}, Value: float64(st.Memory.Bytes)},
+				{Labels: []string{"memory"}, Value: float64(st.Mem.Bytes)},
 				{Labels: []string{"disk"}, Value: float64(st.Disk.Bytes)},
 			}
 		})
 	m.reg.Collect("thermflow_cache_tier_entries",
 		"Entries resident per cache tier.",
 		telemetry.TypeGauge, []string{"tier"}, func() []telemetry.Sample {
-			st := b.Stats()
+			st := eng.Store().Stats()
 			return []telemetry.Sample{
-				{Labels: []string{"memory"}, Value: float64(st.Memory.Entries)},
+				{Labels: []string{"memory"}, Value: float64(st.Mem.Entries)},
 				{Labels: []string{"disk"}, Value: float64(st.Disk.Entries)},
 			}
 		})
 
-	solverSeconds := m.reg.HistogramVec("thermflow_solver_seconds",
-		"Thermal-analysis fixpoint wall-clock seconds, by solver.",
-		nil, "solver")
-	solverRuns := m.reg.CounterVec("thermflow_solver_runs_total",
-		"Thermal-analysis fixpoint runs, by solver and convergence.",
-		"solver", "converged")
-	b.SetSolverObserver(func(solver string, seconds float64, converged bool) {
-		solverSeconds.With(solver).Observe(seconds)
-		solverRuns.With(solver, strconv.FormatBool(converged)).Inc()
-	})
 }
 
 // routeOf normalizes a request path onto the fixed route set the HTTP

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"thermflow"
+	"thermflow/internal/batch"
 )
 
 // newMetricsServer builds a full middleware-wrapped server with
@@ -16,7 +16,7 @@ func newMetricsServer(t *testing.T, cfg Config) (*httptest.Server, *Metrics) {
 	t.Helper()
 	m := NewMetrics()
 	cfg.Metrics = m
-	s := NewConfig(thermflow.NewBatch(1), cfg)
+	s := NewConfig(batch.NewRunner(1), cfg)
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(Chain(s,
 		WithRequestID(),

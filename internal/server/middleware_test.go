@@ -15,14 +15,14 @@ import (
 	"testing"
 	"time"
 
-	"thermflow"
+	"thermflow/internal/batch"
 	"thermflow/internal/tenant"
 )
 
 // authedServer wraps a full server in the production middleware order.
 func authedServer(t *testing.T, mw ...Middleware) *httptest.Server {
 	t.Helper()
-	srv := New(thermflow.NewBatch(1))
+	srv := New(batch.NewRunner(1))
 	ts := httptest.NewServer(Chain(srv, mw...))
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return ts

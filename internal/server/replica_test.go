@@ -10,8 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"thermflow"
 	"thermflow/api"
+	"thermflow/internal/batch"
 	"thermflow/internal/joblog"
 )
 
@@ -41,7 +41,7 @@ func putReplica(t *testing.T, ts *httptest.Server, id string, body []byte) *http
 // A shelved replica answers status reads for an ID this backend never
 // ran: verbatim body, replica marker, expired served as 504.
 func TestReplicaPutAndServeFallback(t *testing.T) {
-	srv := New(thermflow.NewBatch(1))
+	srv := New(batch.NewRunner(1))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -99,7 +99,7 @@ func TestReplicaPutAndServeFallback(t *testing.T) {
 // The shelf rejects documents that could corrupt it: non-terminal
 // states (a replica must never need updating) and ID mismatches.
 func TestReplicaPutRejectsBadDocuments(t *testing.T) {
-	srv := New(thermflow.NewBatch(1))
+	srv := New(batch.NewRunner(1))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -2,10 +2,11 @@
 // compile engine. The unit of work is the job: every request is
 // canonicalized into a thermflow.JobSpec whose content hash is the job
 // ID, the engine cache key and the disk-tier entry name at once, and
-// execution flows through the internal/jobs registry. Submit returns a
-// handle immediately, status is polled or long-polled, duplicate
-// submissions of the same content converge on one job, and batches
-// stream ID-keyed results as NDJSON.
+// execution flows through the internal/jobs registry, which keeps each
+// finished job's answer (thermflow.Answer) and serves nothing else.
+// Submit returns a handle immediately, status is polled or
+// long-polled, duplicate submissions of the same content converge on
+// one job, and batches stream ID-keyed results as NDJSON.
 //
 // Cross-cutting concerns — bearer-token auth, per-tenant quotas,
 // request IDs, access logs, body and deadline caps — live in the
@@ -40,6 +41,7 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/internal/batch"
+	"thermflow/internal/cachestore"
 	"thermflow/internal/jobs"
 	"thermflow/internal/trace"
 )
@@ -78,7 +80,7 @@ type Config struct {
 
 // Server is the thermflowd HTTP handler.
 type Server struct {
-	batch    *thermflow.Batch
+	engine   *batch.Runner
 	jobs     *jobs.Registry
 	replicas *ReplicaStore
 	metrics  *Metrics        // nil when unmetered
@@ -86,12 +88,12 @@ type Server struct {
 	mux      *http.ServeMux
 }
 
-// New builds the handler over the given compile engine with default
-// job-registry settings.
-func New(b *thermflow.Batch) *Server { return NewConfig(b, Config{}) }
+// New builds the handler over the given compile engine (see
+// jobs.NewEngine) with default job-registry settings.
+func New(eng *batch.Runner) *Server { return NewConfig(eng, Config{}) }
 
 // NewConfig builds the handler over the given compile engine.
-func NewConfig(b *thermflow.Batch, cfg Config) *Server {
+func NewConfig(eng *batch.Runner, cfg Config) *Server {
 	replicas := cfg.Replicas
 	if replicas == nil {
 		replicas = NewReplicaStore(0, nil, nil)
@@ -100,7 +102,7 @@ func NewConfig(b *thermflow.Batch, cfg Config) *Server {
 		cfg.Trace = trace.NewRecorder("thermflowd", 0, 0)
 	}
 	cfg.Jobs.Trace = cfg.Trace
-	s := &Server{batch: b, jobs: jobs.New(b, cfg.Jobs), replicas: replicas,
+	s := &Server{engine: eng, jobs: jobs.New(eng, cfg.Jobs), replicas: replicas,
 		metrics: cfg.Metrics, trace: cfg.Trace, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v2/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v2/jobs/{id}", s.handleJobGet)
@@ -112,14 +114,15 @@ func NewConfig(b *thermflow.Batch, cfg Config) *Server {
 	s.mux.HandleFunc("GET /v2/kernels", s.handleKernels)
 	s.mux.HandleFunc("DELETE /v2/cache", s.handleCacheReset)
 	if cfg.Metrics != nil {
-		cfg.Metrics.InstrumentEngine(b, s.jobs)
+		cfg.Metrics.InstrumentEngine(eng, s.jobs)
 		s.mux.Handle("GET /metrics", cfg.Metrics.Handler())
 	}
 	return s
 }
 
-// Batch returns the underlying compile engine.
-func (s *Server) Batch() *thermflow.Batch { return s.batch }
+// Batch returns the underlying compile engine, the batch runner that
+// keeps the answers.
+func (s *Server) Batch() *batch.Runner { return s.engine }
 
 // Jobs returns the job registry.
 func (s *Server) Jobs() *jobs.Registry { return s.jobs }
@@ -251,17 +254,18 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) cacheStats() api.CacheStats {
-	st := s.batch.Stats()
+	st := s.engine.Stats()
+	tiers := s.engine.Store().Stats()
 	return api.CacheStats{
 		Hits: st.Hits, Misses: st.Misses, Panics: st.Panics,
-		Workers:     s.batch.Workers(),
-		Memory:      tierStats(st.Memory),
-		Disk:        tierStats(st.Disk),
-		DiskEnabled: st.DiskEnabled,
+		Workers:     s.engine.Workers(),
+		Memory:      tierStats(tiers.Mem),
+		Disk:        tierStats(tiers.Disk),
+		DiskEnabled: tiers.DiskEnabled,
 	}
 }
 
-func tierStats(t thermflow.CacheTierStats) api.TierStats {
+func tierStats(t cachestore.TierStats) api.TierStats {
 	return api.TierStats{
 		Hits: t.Hits, Misses: t.Misses, Puts: t.Puts,
 		Evictions: t.Evictions, Corrupt: t.Corrupt,
@@ -290,7 +294,7 @@ func (s *Server) handleCacheReset(w http.ResponseWriter, r *http.Request) {
 	// Resetting the result store invalidates results, not job
 	// identity: queued and running v2 jobs keep their registry entries
 	// and recompute (regression-tested at the jobs layer).
-	if err := s.batch.ResetCache(); err != nil {
+	if err := s.engine.ResetCache(); err != nil {
 		// The cache is cleared even on error; failing to delete a disk
 		// entry is an internal fault worth surfacing, since the caller
 		// asked for durable state to go away.

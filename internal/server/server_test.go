@@ -14,12 +14,13 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
+	"thermflow/internal/batch"
 	"thermflow/internal/jobs"
 )
 
-func newTestServer(t *testing.T, workers int) (*httptest.Server, *thermflow.Batch) {
+func newTestServer(t *testing.T, workers int) (*httptest.Server, *batch.Runner) {
 	t.Helper()
-	b := thermflow.NewBatch(workers)
+	b := batch.NewRunner(workers)
 	ts := httptest.NewServer(New(b))
 	t.Cleanup(ts.Close)
 	return ts, b

@@ -44,10 +44,22 @@ func jobStatus(snap jobs.Snapshot) api.JobStatus {
 	if snap.Err != nil {
 		st.Error = failureMessage(snap.Err)
 	}
-	if snap.State == jobs.StateDone && snap.Compiled != nil {
-		st.Result = api.ResponseFor(snap.Compiled, snap.Cached)
+	if snap.State == jobs.StateDone {
+		st.Result = served(snap.Answer, snap.Cached)
 	}
 	return st
+}
+
+// served is a stored answer as one response serves it: a copy, since
+// the registry and the result store share the stored one, marked with
+// whether this response came from the store.
+func served(a *thermflow.Answer, cached bool) *api.CompileResponse {
+	if a == nil {
+		return nil
+	}
+	out := *a
+	out.Cached = cached
+	return &out
 }
 
 func unixMS(t time.Time) int64 {
@@ -313,7 +325,7 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 			if snap.Err != nil {
 				item.Error = failureMessage(snap.Err)
 			} else {
-				item.Result = api.ResponseFor(snap.Compiled, snap.Cached)
+				item.Result = served(snap.Answer, snap.Cached)
 			}
 			emit(item)
 		}()

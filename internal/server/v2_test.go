@@ -15,6 +15,7 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
+	"thermflow/internal/batch"
 	"thermflow/internal/jobs"
 	"thermflow/internal/tenant"
 )
@@ -37,7 +38,7 @@ func occupyingJob(i int) api.JobRequest {
 
 func newJobsServer(t *testing.T, workers int, cfg Config) (*httptest.Server, *Server) {
 	t.Helper()
-	srv := NewConfig(thermflow.NewBatch(workers), cfg)
+	srv := NewConfig(batch.NewRunner(workers), cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return ts, srv
@@ -409,7 +410,7 @@ func TestV2SubmitTenantAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewConfig(thermflow.NewBatch(1),
+	srv := NewConfig(batch.NewRunner(1),
 		Config{Jobs: jobs.Config{Concurrency: 1, MaxQueue: 2, QueueWatermark: 2}})
 	ts := httptest.NewServer(Chain(srv, WithQuotas(QuotaConfig{Quotas: quotas})))
 	t.Cleanup(func() { ts.Close(); srv.Close() })
@@ -503,7 +504,7 @@ func TestBatchItemsAreRegistryJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewConfig(thermflow.NewBatch(4), Config{Jobs: jobs.Config{Concurrency: 1, MaxQueue: 2}})
+	srv := NewConfig(batch.NewRunner(4), Config{Jobs: jobs.Config{Concurrency: 1, MaxQueue: 2}})
 	ts := httptest.NewServer(Chain(srv, WithQuotas(QuotaConfig{Quotas: quotas})))
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 

@@ -170,7 +170,7 @@ func (a *analyzer) newResult() (*Result, []thermal.State) {
 		fn:         fn,
 	}
 	init := a.grid.NewState()
-	if a.cfg.WarmStart {
+	if !a.cfg.NoWarmStart {
 		init = a.grid.SteadyState(a.avgPowerMap())
 	}
 	blockOut := make([]thermal.State, len(fn.Blocks))

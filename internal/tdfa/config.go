@@ -216,13 +216,10 @@ type Config struct {
 	// is an execution control, never part of any result identity.
 	Ctx context.Context
 
-	// WarmStart initializes every state at the steady-state solution
-	// of the frequency-averaged power map instead of ambient,
-	// drastically reducing sweeps to convergence. Disable to observe
-	// the raw Fig. 2 iteration (ablation).
-	WarmStart bool
-	// NoWarmStart disables WarmStart (kept separate so the zero Config
-	// defaults to warm-starting).
+	// NoWarmStart starts every state at ambient, the raw Fig. 2
+	// iteration (ablation). By default states start at the steady-state
+	// solution of the frequency-averaged power map, which drastically
+	// reduces sweeps to convergence.
 	NoWarmStart bool
 }
 
@@ -246,6 +243,5 @@ func (c Config) withDefaults() Config {
 	if c.Kappa <= 0 {
 		c.Kappa = 100
 	}
-	c.WarmStart = !c.NoWarmStart
 	return c
 }

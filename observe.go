@@ -14,9 +14,9 @@ type SolverObserver func(solver string, seconds float64, converged bool)
 
 // solverObserverKey carries a SolverObserver through a compile's
 // context. Context transport (rather than package-global state) keeps
-// observers per-engine: several Batch instances in one process — the
-// in-process e2e cluster harness runs a whole pool of them — each see
-// only their own solver runs.
+// observers per-engine: several job registries in one process — the
+// in-process e2e cluster harness runs a whole pool of backends — each
+// see only their own solver runs.
 type solverObserverKey struct{}
 
 // WithSolverObserver returns a context whose compiles report solver

@@ -87,11 +87,10 @@ type Program struct {
 	// Key, when non-empty, is a stable content identity for the
 	// program *including its hooks*: two Programs with equal Key must
 	// behave identically under Setup/Expect. It replaces the Program's
-	// pointer in the batch cache key, so results for keyed programs
-	// (built-in kernels carry "kernel:<name>") are shareable across
-	// processes and survive in the disk cache tier. Leave it empty for
-	// ad-hoc programs; hook-less programs are identified by their IR
-	// text alone.
+	// pointer in the batch cache key, so distinct Program values of one
+	// keyed program (built-in kernels carry "kernel:<name>") share
+	// results. Leave it empty for ad-hoc programs; hook-less programs
+	// are identified by their IR text alone.
 	Key string
 	// Setup produces (args, memory) for execution at a given scale;
 	// nil for programs without a canonical input.
@@ -131,12 +130,10 @@ func Kernel(name string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The stable Key makes kernel results shareable across processes:
-	// every process resolving the same kernel derives the same batch
-	// cache key, which is what lets a disk-tier entry written by one
-	// thermflowd warm the next (kernels' Setup/Expect hooks are part
-	// of the workload definition, so the name identifies them too).
-	return &Program{Fn: k.Fn, Key: kernelKeyPrefix + name, Setup: k.Setup, Expect: k.Expect}, nil
+	// The stable Key names the kernel's Setup/Expect hooks by content
+	// (they are part of the workload definition), so jobs compiling the
+	// same kernel share one batch cache slot.
+	return &Program{Fn: k.Fn, Key: "kernel:" + name, Setup: k.Setup, Expect: k.Expect}, nil
 }
 
 // Kernels lists the built-in kernel names.
