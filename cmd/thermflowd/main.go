@@ -11,7 +11,7 @@
 //	           [-job-ttl 15m] [-job-max 4096] [-request-timeout 0]
 //	           [-job-max-queue 0] [-job-queue-watermark 0]
 //	           [-job-age-step 0] [-job-age-period 30s]
-//	           [-job-log-dir DIR] [-job-snapshot-every 512]
+//	           [-job-log-dir DIR]
 //	           [-debug-addr ""]
 //
 // The result cache is a two-tier store: an in-memory LRU tier capped
@@ -19,7 +19,8 @@
 // capped at -cache-disk-max-bytes. The disk tier is content-addressed
 // by the same hash as the memory tier — and the same hash as the job
 // IDs the /v2 endpoints hand out — so a restarted thermflowd pointed at
-// the same directory comes back warm.
+// the same directory comes back warm. Its answers survive a process
+// kill but are not fsynced, so a power loss can cost a recompute.
 //
 // Hardening flags compose the middleware stack: -auth-token-file
 // requires a bearer token from the file (one per line) on every
@@ -57,17 +58,18 @@
 // stamped by a fronting thermflowgate — enable it only on backends
 // reachable exclusively through the gateway.
 //
-// -job-log-dir makes the v2 job registry durable: every lifecycle
-// transition is appended to a CRC-framed write-ahead log under
-// DIR/jobs (snapshot-and-truncated every -job-snapshot-every records),
-// and replica statuses pushed by a gateway persist under DIR/replicas.
-// A restarted thermflowd replays both, so job IDs handed out before a
-// crash keep answering: finished results re-materialize from the disk
-// cache tier, queued work re-enters the queue, and jobs that were
-// running at the crash restart (or fail with an attributable
-// "interrupted by restart" error when they can no longer run). Pair it
-// with -cache-dir on the same volume so replayed results find their
-// artifacts.
+// -job-log-dir makes the v2 job registry durable: every submit is
+// appended to a CRC-framed write-ahead log under DIR/jobs, one record
+// per job, and replica statuses pushed by a gateway persist under
+// DIR/replicas. A restarted thermflowd replays both, so every job
+// accepted before a process kill keeps answering: it comes back done
+// if its answer is in the cache and runs again otherwise (a job whose
+// deadline has passed, or whose spec no longer parses, ends with an
+// attributable "interrupted by backend restart" error instead). A job
+// that has shown done also survives a power loss, because its submit
+// record is fsynced before it shows done; a power loss can drop only
+// jobs not yet done among the last 15 unsynced submits. Pair it with
+// -cache-dir on the same volume so replayed jobs find their answers.
 //
 // To scale beyond one process, front a pool of thermflowd instances
 // with cmd/thermflowgate, which shards jobs across them by consistent

@@ -115,7 +115,7 @@ func listen(name string, f *edgeFlags, logger *log.Logger) (*Daemon, error) {
 func Backend(args []string, logger *log.Logger) (_ *Daemon, err error) {
 	fs, f := newFlags("thermflowd", ":8080", "bearer-token file, one token per line (empty = no auth)", logger)
 	workers := fs.Int("workers", 0, "compile worker-pool size (0 = GOMAXPROCS)")
-	cacheDir := fs.String("cache-dir", "", "directory for the persistent result-cache tier (empty = memory only)")
+	cacheDir := fs.String("cache-dir", "", "directory for the persistent result-cache tier; answers survive a process kill, not a power loss (empty = memory only)")
 	cacheMemBytes := fs.Int64("cache-max-bytes", 0, "memory cache tier byte cap (0 = 256 MiB)")
 	cacheDiskBytes := fs.Int64("cache-disk-max-bytes", 0, "disk cache tier byte cap (0 = 1 GiB)")
 	errTTL := fs.Duration("cache-err-ttl", 0, "how long compile failures are served from cache before retry (0 = 30s)")
@@ -126,8 +126,7 @@ func Backend(args []string, logger *log.Logger) (_ *Daemon, err error) {
 	jobWatermark := fs.Int("job-queue-watermark", 0, "queue depth where admission turns selective (0 = 3/4 of -job-max-queue)")
 	jobAgeStep := fs.Int("job-age-step", 0, "priority points a queued job gains per -job-age-period waited (0 = aging off)")
 	jobAgePeriod := fs.Duration("job-age-period", 0, "queue wait that earns one -job-age-step (0 = 30s)")
-	jobLogDir := fs.String("job-log-dir", "", "directory for the durable job write-ahead log (empty = jobs vanish on restart)")
-	jobSnapshotEvery := fs.Int("job-snapshot-every", 0, "WAL records between snapshot-and-truncate compactions (0 = 512)")
+	jobLogDir := fs.String("job-log-dir", "", "directory for the durable job log: accepted jobs survive a process kill, done ones a power loss too (empty = jobs vanish on restart)")
 	if err := parse(fs, args); err != nil {
 		return nil, err
 	}
@@ -163,7 +162,7 @@ func Backend(args []string, logger *log.Logger) (_ *Daemon, err error) {
 	}
 
 	jobsCfg := jobs.Config{
-		TTL: *jobTTL, MaxJobs: *jobMax, SnapshotEvery: *jobSnapshotEvery,
+		TTL: *jobTTL, MaxJobs: *jobMax,
 		MaxQueue: *jobMaxQueue, QueueWatermark: *jobWatermark,
 		AgeStep: *jobAgeStep, AgePeriod: *jobAgePeriod,
 	}

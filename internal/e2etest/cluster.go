@@ -34,8 +34,7 @@ type Options struct {
 	Backends int
 	// BackendArgs are extra thermflowd flags for every backend, parsed
 	// after the harness's own (-addr, -workers 2, -cache-dir,
-	// -job-log-dir, -job-snapshot-every 32), so a repeated flag
-	// overrides the harness value.
+	// -job-log-dir), so a repeated flag overrides the harness value.
 	BackendArgs []string
 	// GatewayArgs are extra thermflowgate flags, parsed after the
 	// harness's own (-addr, -backends, -state-dir, -health-interval
@@ -118,7 +117,6 @@ func (b *Backend) start() error {
 		"-workers", "2",
 		"-cache-dir", filepath.Join(b.Dir, "cache"),
 		"-job-log-dir", filepath.Join(b.Dir, "joblog"),
-		"-job-snapshot-every", "32",
 	}, b.c.opts.BackendArgs...)
 	d, err := daemon.Backend(args, quiet())
 	if err != nil {
@@ -134,7 +132,9 @@ func (b *Backend) start() error {
 // Kill slams the backend: the listener and every open connection are
 // closed immediately (the in-process analog of SIGKILL mid-request),
 // then the job registry and WALs shut so a Restart can reopen the same
-// directories.
+// directories. The restarted backend answers every job it accepted:
+// done if the job's answer is in its cache directory, run again
+// otherwise.
 func (b *Backend) Kill() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -48,6 +48,7 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/internal/joblog"
+	"thermflow/internal/jobs"
 	"thermflow/internal/server"
 	"thermflow/internal/trace"
 )
@@ -130,10 +131,10 @@ type Gateway struct {
 	ring     *Ring    // assignment ring: healthy, not draining; swapped, never mutated
 	readRing *Ring    // read ring: every healthy member, draining included
 	stateLog *joblog.Log
-	// replicated remembers IDs whose terminal status was already
-	// pushed to successors, FIFO-capped; replOrder is its eviction
+	// replicated remembers the terminal state each ID was last pushed
+	// to successors with, FIFO-capped; replOrder is its eviction
 	// order.
-	replicated map[string]bool
+	replicated map[string]jobs.State
 	replOrder  []string
 
 	metrics gwMetrics       // inert zero value unless Config.Metrics was set
@@ -213,7 +214,7 @@ func New(cfg Config) (*Gateway, error) {
 		mux:        http.NewServeMux(),
 		backends:   make(map[string]*backend),
 		stateLog:   cfg.Log,
-		replicated: make(map[string]bool),
+		replicated: make(map[string]jobs.State),
 		trace:      cfg.Trace,
 	}
 	for _, raw := range cfg.Backends {
@@ -532,7 +533,7 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// job, or a cache hit), so its relay replicates like a status read.
 	g.forwardRelay(w, r, id, http.MethodPost, "/v2/jobs", body,
 		func(w http.ResponseWriter, resp *http.Response, served string) {
-			g.relayAndReplicate(w, r, resp, served)
+			g.relayAndReplicate(w, r, resp, id, served)
 		})
 }
 
@@ -602,7 +603,7 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 			continue
 		}
-		g.relayAndReplicate(w, r, resp, owner)
+		g.relayAndReplicate(w, r, resp, id, owner)
 		return
 	}
 }

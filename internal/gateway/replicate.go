@@ -21,8 +21,11 @@ import (
 // answer outlives its owner: if the owner dies permanently, the
 // gateway's candidate walk (handleJobGet) reaches a successor and the
 // ID still resolves. The push is asynchronous and best-effort — the
-// client's response is never held for it — and deduplicated per ID,
-// since a terminal status never changes once written.
+// client's response is never held for it — and deduplicated per ID and
+// state. A failed or expired job is replaced by a fresh one when its
+// spec is submitted again, so a later relay with another terminal
+// state pushes again; a done answer is final, and a relay for an ID
+// already pushed done is not even decoded.
 
 // replicatePushTimeout bounds one replica push (and one cache-reset
 // re-issue; see health.go).
@@ -33,10 +36,10 @@ const replicatePushTimeout = 5 * time.Second
 // wrong ones.
 const replicatedCap = 8192
 
-// relayAndReplicate relays a job-status response to the client and,
+// relayAndReplicate relays job id's status response to the client and,
 // when it carries a terminal status this gateway has not replicated
 // yet, pushes it to the ID's ring successors in the background.
-func (g *Gateway) relayAndReplicate(w http.ResponseWriter, r *http.Request, resp *http.Response, served string) {
+func (g *Gateway) relayAndReplicate(w http.ResponseWriter, r *http.Request, resp *http.Response, id, served string) {
 	defer resp.Body.Close()
 	body, readErr := io.ReadAll(resp.Body)
 	for _, h := range relayHeaders {
@@ -55,23 +58,29 @@ func (g *Gateway) relayAndReplicate(w http.ResponseWriter, r *http.Request, resp
 	case resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGatewayTimeout:
 		return // 504 carries an expired job's status; other non-200s carry no job
 	}
-	var st api.JobStatus
-	if json.Unmarshal(body, &st) != nil || st.ID == "" || !jobs.State(st.State).Terminal() {
+	g.mu.Lock()
+	final := g.replicated[id] == jobs.StateDone
+	g.mu.Unlock()
+	if final {
 		return
 	}
-	g.replicate(st.ID, body, served, r.Header.Get("Authorization"))
+	var st api.JobStatus
+	if json.Unmarshal(body, &st) != nil || st.ID != id || !jobs.State(st.State).Terminal() {
+		return
+	}
+	g.replicate(id, jobs.State(st.State), body, served, r.Header.Get("Authorization"))
 }
 
 // replicate pushes one terminal status to the ID's read-ring
 // successors, skipping the backend that served it (it already has the
-// job). No-op if the ID was already replicated.
-func (g *Gateway) replicate(id string, body []byte, served, auth string) {
+// job). No-op if the ID was already pushed in this state, or done.
+func (g *Gateway) replicate(id string, state jobs.State, body []byte, served, auth string) {
 	g.mu.Lock()
-	if g.replicated[id] {
+	if was := g.replicated[id]; was == state || was == jobs.StateDone {
 		g.mu.Unlock()
 		return
 	}
-	g.markReplicatedLocked(id)
+	g.markReplicatedLocked(id, state)
 	ring := g.readRing
 	g.mu.Unlock()
 
@@ -98,21 +107,25 @@ func (g *Gateway) replicate(id string, body []byte, served, auth string) {
 			}
 		}
 		if pushed == 0 {
-			// Nothing landed; forget the ID so a later read retries.
+			// Nothing landed; forget the ID so a later read retries,
+			// unless a later state was pushed meanwhile.
 			g.mu.Lock()
-			delete(g.replicated, id)
+			if g.replicated[id] == state {
+				delete(g.replicated, id)
+			}
 			g.mu.Unlock()
 		}
 	}()
 }
 
-// markReplicatedLocked records an ID as pushed, evicting the oldest
-// mark past the cap.
-func (g *Gateway) markReplicatedLocked(id string) {
-	if g.replicated[id] {
+// markReplicatedLocked records an ID as pushed in state, evicting the
+// oldest mark past the cap.
+func (g *Gateway) markReplicatedLocked(id string, state jobs.State) {
+	_, known := g.replicated[id]
+	g.replicated[id] = state
+	if known {
 		return
 	}
-	g.replicated[id] = true
 	g.replOrder = append(g.replOrder, id)
 	for len(g.replOrder) > replicatedCap {
 		evict := g.replOrder[0]

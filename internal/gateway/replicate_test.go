@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
 	"thermflow/internal/joblog"
@@ -81,6 +82,47 @@ func TestGatewayServesJobFromSuccessorAfterOwnerDies(t *testing.T) {
 	if !got.Replica {
 		t.Fatal("successor's answer not marked as a replica")
 	}
+}
+
+// A successor's shelf never keeps a superseded failure. A job that
+// expired is replaced by a fresh one when its spec is submitted again;
+// once that one is done, the successor holds done, which is what the
+// gateway serves for the ID after the owner dies.
+func TestGatewayReplicatesDoneOverEarlierExpiry(t *testing.T) {
+	ts1, srv1 := newBackend(t)
+	ts2, srv2 := newBackend(t)
+	g, gts := newTestGateway(t, Config{}, ts1.URL, ts2.URL)
+	cl := client.New(gts.URL, nil)
+	ctx := context.Background()
+
+	req := api.JobRequest{Kernel: "matmul", Options: thermflow.Options{
+		NoWarmStart: true, Kappa: 1, Delta: 0.0002, MaxIter: 32768,
+	}}
+	hasty := req
+	hasty.DeadlineMS = 1
+	st, err := cl.RunJob(ctx, hasty)
+	if err != nil || st.State != "expired" {
+		t.Fatalf("deadlined job: %v / %+v, want expired", err, st)
+	}
+	g.mu.Lock()
+	owner, _ := g.ring.Lookup(st.ID)
+	g.mu.Unlock()
+	shelf := srv2.Replicas()
+	if owner == ts2.URL {
+		shelf = srv1.Replicas()
+	}
+	shelved := func(want string) func() bool {
+		return func() bool {
+			_, state, ok := shelf.Get(st.ID)
+			return ok && state == want
+		}
+	}
+	waitFor(t, "the expired status on the successor", shelved("expired"))
+
+	if st, err = cl.RunJob(ctx, req); err != nil || st.State != "done" {
+		t.Fatalf("resubmitted job: %v / %+v, want done", err, st)
+	}
+	waitFor(t, "the done status on the successor", shelved("done"))
 }
 
 // stubBackend is a minimal pool member: answers health probes, counts

@@ -31,13 +31,16 @@
 // identity, so queued and running jobs keep their status entries and
 // simply recompute.
 //
-// With Config.Log set, the registry is durable (wal.go): lifecycle
-// transitions are written ahead to a joblog WAL and replayed at New,
-// so a kill -9'd backend comes back knowing every job ID it ever
-// answered — terminal results re-materialize through the
-// content-addressed result store, queued jobs re-enter the priority
-// heap, and jobs that were running at crash time restart (or fail
-// with ErrInterrupted when they no longer can).
+// With Config.Log set, the registry is durable (wal.go): each submit
+// is written ahead to a joblog WAL, and New replays it. A job whose
+// answer is in the content-addressed result store comes back done and
+// cached; every other job runs again, unless its deadline has passed
+// or its spec no longer parses (then it ends with ErrInterrupted). So
+// every accepted job survives a process kill. A job that has shown
+// done also survives a power loss, because its submit record is
+// synced before it shows done; a power loss can drop only jobs not yet
+// done whose submit records were still in the log's unsynced fsync
+// batch.
 package jobs
 
 import (
@@ -46,6 +49,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,14 +152,13 @@ type Config struct {
 	// with real timers makes deadline tests timing-dependent.
 	AfterFunc func(d time.Duration, f func()) Timer
 
-	// Log, when non-nil, makes the registry durable: every lifecycle
-	// transition is appended to the write-ahead log and the registry
-	// periodically snapshots-and-truncates it (every SnapshotEvery
-	// records; <= 0 selects DefaultSnapshotEvery). Pass the Recovery
-	// from joblog.Open to replay a previous process's state.
-	Log           *joblog.Log
-	Recovery      *joblog.Recovery
-	SnapshotEvery int
+	// Log, when non-nil, makes the registry durable: every submit is
+	// appended to the write-ahead log, which the registry compacts into
+	// a snapshot of its retained jobs once the records since the last
+	// one reach both 512 and the retained count. Pass the Recovery from
+	// joblog.Open to replay a previous process's jobs.
+	Log      *joblog.Log
+	Recovery *joblog.Recovery
 
 	// Trace, when non-nil, records each job's lifecycle phases —
 	// queue wait, run, solver time — as spans in the job's timeline
@@ -253,8 +256,7 @@ type Registry struct {
 	clock func() time.Time
 	after func(d time.Duration, f func()) Timer
 
-	log       *joblog.Log // nil when volatile
-	snapEvery int
+	log *joblog.Log // nil when volatile
 
 	trace *trace.Recorder // nil disables lifecycle spans
 
@@ -304,9 +306,6 @@ func New(eng *batch.Runner, cfg Config) *Registry {
 	if cfg.AfterFunc == nil {
 		cfg.AfterFunc = func(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
-	}
 	if cfg.MaxQueue > 0 {
 		if cfg.QueueWatermark <= 0 || cfg.QueueWatermark > cfg.MaxQueue {
 			cfg.QueueWatermark = cfg.MaxQueue * 3 / 4
@@ -322,7 +321,7 @@ func New(eng *batch.Runner, cfg Config) *Registry {
 	r := &Registry{
 		eng: eng, conc: cfg.Concurrency, ttl: cfg.TTL, max: cfg.MaxJobs,
 		clock: cfg.Clock, after: cfg.AfterFunc,
-		log: cfg.Log, snapEvery: cfg.SnapshotEvery,
+		log:      cfg.Log,
 		trace:    cfg.Trace,
 		maxQueue: cfg.MaxQueue, watermark: cfg.QueueWatermark,
 		ageStep: cfg.AgeStep, agePeriod: cfg.AgePeriod,
@@ -724,7 +723,6 @@ func (r *Registry) dispatchLocked() {
 		j.started = now
 		r.running++
 		r.ownerDeltaLocked(j.owner, -1, +1)
-		r.logStartLocked(j)
 		r.recordQueuedLocked(j, now, "dispatched")
 		ctx, cancel := context.WithCancel(r.ctx)
 		j.cancel = cancel
@@ -748,6 +746,15 @@ func (r *Registry) run(ctx context.Context, j *job, cj thermflow.CompileJob) {
 		}
 		return c.Answer(), nil
 	}}})[0]
+	if res.Err == nil && r.log != nil {
+		// The job must not show done before its submit record is on
+		// stable storage: the disk tier does not fsync the answer the
+		// engine has just stored, so after a power loss that record is
+		// what runs the job again. Synced without r.mu held.
+		if err := r.log.Sync(); err != nil {
+			log.Printf("jobs: wal sync: %v", err)
+		}
+	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -831,7 +838,6 @@ func (r *Registry) finishLocked(j *job, state State, a *thermflow.Answer, cached
 		r.recordRunLocked(j, state)
 	}
 	r.terminal = append(r.terminal, j)
-	r.logFinishLocked(j)
 	close(j.done)
 }
 

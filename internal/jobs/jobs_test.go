@@ -31,7 +31,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func kernelSpec(t *testing.T, name string, opts thermflow.Options) thermflow.JobSpec {
+func kernelSpec(t testing.TB, name string, opts thermflow.Options) thermflow.JobSpec {
 	t.Helper()
 	spec, err := thermflow.JobSpecFromKernel(name, opts)
 	if err != nil {

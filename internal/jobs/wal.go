@@ -1,50 +1,54 @@
 package jobs
 
 import (
+	"cmp"
 	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"slices"
-	"sort"
 	"time"
 
 	"thermflow"
 	"thermflow/internal/joblog"
 )
 
-// This file is the registry's durability layer: every lifecycle
-// transition appends one record to a joblog WAL, and New replays the
-// log so a kill -9'd backend comes back knowing every job it ever
-// answered. Terminal results are NOT stored in the log — the job's
-// answer already lives in the engine's content-addressed store under
-// the same ID, so replay re-materializes a done job by looking its own
-// ID up there (in the disk tier, after a restart). The log holds only
-// what the store cannot: the lifecycle (states, timestamps, error
-// text) and the job's spec, which is what lets a queued or
-// crash-interrupted job re-enter the priority heap and recompute.
+// This file is the registry's durability layer: a log of work, not of
+// lifecycles. A job's ID hashes its spec and its answer is a
+// deterministic function of that spec, so the only record the registry
+// writes is the submit: the spec, its scheduling hints and its
+// submit time. What is done is what the engine's answer store holds
+// under the job's ID. New replays the log by one rule: a job whose
+// answer is in the store comes back done, every other job runs again,
+// and only a job that cannot (its deadline passed, or its spec no
+// longer parses) comes back terminal, with ErrInterrupted.
+//
+// Durability: a submit record is appended before the submit is
+// answered, and it reaches stable storage before the job shows done
+// (run syncs the log between storing the answer and finishing the
+// job). So a process kill loses no accepted job, and a power loss loses
+// at most the jobs not yet done among the last unsynced fsync batch.
 
-// WAL record types.
-const (
-	recSubmit uint32 = 1 // a job entered the registry (payload: full persistedJob, state queued)
-	recStart  uint32 = 2 // a queued job was dispatched (payload: ID + StartedNS)
-	recFinish uint32 = 3 // a job turned terminal (payload: ID, State, Cached, Err, FinishedNS)
-)
+// recSubmit is the one WAL record type: a job entered the registry
+// (payload: persistedJob). An earlier release also wrote start (2) and
+// finish (3) records; replay skips them.
+const recSubmit uint32 = 1
 
-// DefaultSnapshotEvery is the snapshot-and-truncate cadence (appended
-// records between snapshots) when Config leaves it zero.
-const DefaultSnapshotEvery = 512
+// compactMin is the fewest records appended since the last snapshot
+// that trigger a compaction; the count must also reach the number of
+// retained jobs, which the snapshot rewrites, so compaction costs O(1)
+// per submit, amortized.
+const compactMin = 512
 
 // ErrInterrupted marks a job that could not be carried across a
-// backend restart: it was queued or running when the process died and
-// its spec can no longer be re-run (or its result can no longer be
-// found). Jobs that CAN re-run simply re-enter the queue instead.
+// backend restart: its deadline passed, or its logged spec no longer
+// parses. Jobs that can re-run simply re-enter the queue instead.
 var ErrInterrupted = errors.New("jobs: interrupted by backend restart")
 
-// persistedJob is the wire form of one job in the WAL and the
-// snapshot. It doubles as the payload of every record type; records
-// fill only the fields their transition changes.
+// persistedJob is the wire form of one submit, in a WAL record and in
+// the snapshot alike. Fields an earlier release also wrote (state,
+// cached, error, start and finish times) are ignored on replay.
 type persistedJob struct {
 	ID          string          `json:"id"`
 	Spec        json.RawMessage `json:"spec,omitempty"` // thermflow.JobSpec wire form
@@ -52,13 +56,8 @@ type persistedJob struct {
 	Owner       string          `json:"owner,omitempty"`
 	Class       string          `json:"class,omitempty"`
 	MaxRun      int             `json:"max_run,omitempty"`
-	State       State           `json:"state"`
-	Cached      bool            `json:"cached,omitempty"`
-	Err         string          `json:"error,omitempty"`
 	DeadlineNS  int64           `json:"deadline_ns,omitempty"`
 	SubmittedNS int64           `json:"submitted_ns,omitempty"`
-	StartedNS   int64           `json:"started_ns,omitempty"`
-	FinishedNS  int64           `json:"finished_ns,omitempty"`
 }
 
 func unixNS(t time.Time) int64 {
@@ -75,90 +74,47 @@ func fromUnixNS(ns int64) time.Time {
 	return time.Unix(0, ns)
 }
 
-// persistLocked renders a job's current state.
+// persistLocked renders a job's submit record.
 func persistLocked(j *job) persistedJob {
-	p := persistedJob{
+	return persistedJob{
 		ID: j.id, Spec: j.specJSON, Priority: j.priority,
 		Owner: j.owner, Class: j.class, MaxRun: j.maxRun,
-		State: j.state, Cached: j.cached,
 		DeadlineNS:  unixNS(j.deadline),
 		SubmittedNS: unixNS(j.submitted),
-		StartedNS:   unixNS(j.started),
-		FinishedNS:  unixNS(j.finished),
 	}
-	if j.err != nil {
-		p.Err = j.err.Error()
-	}
-	return p
 }
 
-// appendLocked writes one WAL record; failures are logged, never
-// fatal — a broken disk degrades durability, not availability.
-func (r *Registry) appendLocked(typ uint32, p persistedJob) {
+// logSubmitLocked appends j's submit record, then compacts once the
+// records since the last snapshot reach both compactMin and the
+// retained jobs. Failures are logged, never fatal: a broken disk
+// degrades durability, not availability.
+func (r *Registry) logSubmitLocked(j *job) {
 	if r.log == nil {
 		return
 	}
-	payload, err := json.Marshal(p)
+	payload, err := json.Marshal(persistLocked(j))
 	if err == nil {
-		err = r.log.Append(typ, payload)
+		err = r.log.Append(recSubmit, payload)
 	}
 	if err != nil {
 		log.Printf("jobs: wal append: %v", err)
 		return
 	}
-	if r.log.Records() >= r.snapEvery {
+	if n := r.log.Records(); n >= compactMin && n >= len(r.jobs) {
 		r.snapshotLocked()
 	}
 }
 
-// logSubmitLocked, logStartLocked and logFinishLocked record the three
-// lifecycle transitions. A finish is the moment a client could have
-// observed the result, so it flushes the fsync batch: after the HTTP
-// response says "done", a crash must not forget it.
-func (r *Registry) logSubmitLocked(j *job) { r.appendLocked(recSubmit, persistLocked(j)) }
-
-func (r *Registry) logStartLocked(j *job) {
-	r.appendLocked(recStart, persistedJob{ID: j.id, State: j.state, StartedNS: unixNS(j.started)})
-}
-
-func (r *Registry) logFinishLocked(j *job) {
-	p := persistedJob{ID: j.id, State: j.state, Cached: j.cached, FinishedNS: unixNS(j.finished)}
-	if j.err != nil {
-		p.Err = j.err.Error()
-	}
-	r.appendLocked(recFinish, p)
-	if r.log != nil {
-		if err := r.log.Sync(); err != nil {
-			log.Printf("jobs: wal sync: %v", err)
-		}
-	}
-}
-
-// snapshotLocked writes the full registry state as the log's snapshot
-// and truncates the WAL. Terminal order is preserved so retention
-// replays in completion order.
+// snapshotLocked writes the submit record of every retained job as the
+// log's snapshot and truncates the WAL. Done jobs stay in it: the disk
+// tier does not fsync answers, so after a power loss a done job's
+// submit record is what runs it again.
 func (r *Registry) snapshotLocked() {
 	if r.log == nil {
 		return
 	}
 	jobs := make([]persistedJob, 0, len(r.jobs))
-	seen := make(map[string]bool, len(r.jobs))
-	// Terminal jobs first, oldest-completion first — the replay seeds
-	// r.terminal in append order.
-	for _, j := range r.terminal {
-		if r.jobs[j.id] == j && !seen[j.id] {
-			seen[j.id] = true
-			jobs = append(jobs, persistLocked(j))
-		}
-	}
-	live := make([]*job, 0, len(r.jobs))
 	for _, j := range r.jobs {
-		if !seen[j.id] {
-			live = append(live, j)
-		}
-	}
-	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
-	for _, j := range live {
 		jobs = append(jobs, persistLocked(j))
 	}
 	payload, err := json.Marshal(jobs)
@@ -170,175 +126,127 @@ func (r *Registry) snapshotLocked() {
 	}
 }
 
-// replayLocked rebuilds the registry from a recovery: snapshot state
-// plus the record suffix, folded per job, then materialized. Called by
-// New before the registry is shared; r.mu is held for the dispatch it
-// ends with.
+// replayLocked rebuilds the registry from a recovery: the snapshot's
+// submit records, then the WAL's, the last one of an ID winning.
+// Called by New before the registry is shared; r.mu is held for the
+// dispatch it ends with.
 func (r *Registry) replayLocked(rec joblog.Recovery) {
-	byID := make(map[string]*persistedJob)
-	var order []string
-	upsert := func(p persistedJob) *persistedJob {
-		if have, ok := byID[p.ID]; ok {
-			return have
-		}
-		cp := p
-		byID[p.ID] = &cp
-		order = append(order, p.ID)
-		return &cp
-	}
+	var submits []persistedJob
 	if rec.Snapshot != nil {
-		var jobs []persistedJob
-		if err := json.Unmarshal(rec.Snapshot, &jobs); err != nil {
+		if err := json.Unmarshal(rec.Snapshot, &submits); err != nil {
 			log.Printf("jobs: wal snapshot unreadable, replaying records only: %v", err)
-		} else {
-			for _, p := range jobs {
-				upsert(p)
-			}
+			submits = nil
 		}
 	}
 	for _, wr := range rec.Records {
 		var p persistedJob
-		if err := json.Unmarshal(wr.Payload, &p); err != nil || p.ID == "" {
-			continue // one bad record loses one transition, not the log
+		if wr.Type != recSubmit || json.Unmarshal(wr.Payload, &p) != nil {
+			continue // an earlier release's start or finish record, or a bad one
 		}
-		switch wr.Type {
-		case recSubmit:
-			if have, ok := byID[p.ID]; ok && have.State.Terminal() {
-				// A later submit registered a fresh job over a
-				// terminal one (failed, expired or pruned).
-				delete(byID, p.ID)
-				order = slices.DeleteFunc(order, func(id string) bool { return id == p.ID })
-			}
-			upsert(p)
-		case recStart:
-			if j, ok := byID[p.ID]; ok && !j.State.Terminal() {
-				j.State = StateRunning
-				j.StartedNS = p.StartedNS
-			}
-		case recFinish:
-			if j, ok := byID[p.ID]; ok && !j.State.Terminal() {
-				j.State = p.State
-				j.Cached = p.Cached
-				j.Err = p.Err
-				j.FinishedNS = p.FinishedNS
-			}
+		submits = append(submits, p)
+	}
+	last := make(map[string]int, len(submits))
+	for i, p := range submits {
+		if p.ID != "" {
+			last[p.ID] = i
 		}
 	}
+	order := make([]int, 0, len(last))
+	for _, i := range last {
+		order = append(order, i)
+	}
+	// Submission order, log order within a tie: the queue keeps its
+	// FIFO, and retention, which dates a replayed terminal job from its
+	// submission, prunes oldest first.
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(submits[a].SubmittedNS, submits[b].SubmittedNS), cmp.Compare(a, b))
+	})
 
 	now := r.clock()
-	restored, requeued, interrupted := 0, 0, 0
-	for _, id := range order {
-		switch r.materializeLocked(*byID[id], now) {
-		case replayRestored:
-			restored++
-		case replayRequeued:
+	var done, requeued, interrupted int
+	for _, i := range order {
+		switch r.materializeLocked(submits[i], now) {
+		case StateDone:
+			done++
+		case StateQueued:
 			requeued++
-		case replayInterrupted:
+		default:
 			interrupted++
 		}
 	}
 	if len(order) > 0 {
-		log.Printf("jobs: replayed %d jobs from log (%d terminal restored, %d requeued, %d interrupted)",
-			len(order), restored, requeued, interrupted)
+		log.Printf("jobs: replayed %d jobs from log (%d done, %d requeued, %d interrupted)",
+			len(order), done, requeued, interrupted)
 	}
 	if rec.DroppedBytes > 0 || rec.DroppedSnapshot {
 		log.Printf("jobs: wal recovery dropped %d torn bytes (snapshot dropped: %v)",
 			rec.DroppedBytes, rec.DroppedSnapshot)
 	}
-	// Compact: the rebuilt state becomes the new snapshot and the old
-	// WAL is truncated, so restarts do not re-pay ever-longer replays.
+	// Compact: the replayed jobs still retained become the new
+	// snapshot, so restarts do not re-pay ever-longer replays.
+	r.pruneLocked(now)
 	r.snapshotLocked()
 	r.dispatchLocked()
 }
 
-type replayOutcome int
-
-const (
-	replayRestored replayOutcome = iota
-	replayRequeued
-	replayInterrupted
-)
-
-// materializeLocked installs one replayed job. Terminal done jobs
-// re-materialize their result from the content-addressed store; a
-// vanished result (evicted, or the cache directory was lost) re-queues
-// the job — same ID, same content, a recompute converges on the same
-// result. Queued and crash-interrupted running jobs re-enter the heap;
-// only a job that cannot re-run fails, attributably, as interrupted.
-func (r *Registry) materializeLocked(p persistedJob, now time.Time) replayOutcome {
+// materializeLocked installs one replayed job and returns the state it
+// entered. A job whose answer is in the store is done and cached; one
+// whose deadline passed expires and one whose spec no longer parses
+// fails, both with ErrInterrupted; every other job is queued, so a job
+// that failed, expired or was cancelled by a shutdown runs again. A
+// job installed terminal is dated from its submission, so a restart
+// never extends its retention.
+func (r *Registry) materializeLocked(p persistedJob, now time.Time) State {
 	j := &job{
 		id: p.ID, priority: p.Priority, specJSON: p.Spec,
 		owner: p.Owner, class: p.Class, maxRun: p.MaxRun,
 		deadline:  fromUnixNS(p.DeadlineNS),
 		submitted: fromUnixNS(p.SubmittedNS),
-		started:   fromUnixNS(p.StartedNS),
 		done:      make(chan struct{}), qidx: -1,
+	}
+	if j.submitted.IsZero() {
+		j.submitted = now
 	}
 	r.seq++
 	j.seq = r.seq
+	r.jobs[j.id] = j
 
-	installTerminal := func(state State, cached bool, err error) {
+	terminal := func(state State, err error) State {
 		j.state = state
-		j.cached = cached
 		j.err = err
-		j.finished = fromUnixNS(p.FinishedNS)
-		if j.finished.IsZero() {
-			j.finished = now
-		}
-		r.jobs[j.id] = j
+		j.finished = j.submitted
 		r.terminal = append(r.terminal, j)
 		close(j.done)
+		return state
 	}
-
-	switch {
-	case p.State == StateDone:
-		if v, ok := r.eng.Store().Get(p.ID); ok {
-			if a, ok := v.(*thermflow.Answer); ok {
-				// Served from the disk tier: the answer the pre-crash
-				// process served, marked cached like any store hit.
-				installTerminal(StateDone, true, nil)
-				j.answer = a
-				return replayRestored
-			}
+	if v, ok := r.eng.Store().Get(j.id); ok {
+		if a, ok := v.(*thermflow.Answer); ok {
+			j.answer = a
+			j.cached = true
+			return terminal(StateDone, nil)
 		}
-	case p.State.Terminal():
-		var err error
-		if p.Err != "" {
-			err = errors.New(p.Err)
-		}
-		installTerminal(p.State, p.Cached, err)
-		return replayRestored
 	}
-
-	// Queued, running at crash time, or done with a vanished result:
-	// the job must run (again). Past-deadline jobs expire rather than
-	// restart, and a spec that cannot be re-parsed fails attributably.
 	if !j.deadline.IsZero() && now.After(j.deadline) {
-		installTerminal(StateExpired, false,
-			fmt.Errorf("deadline passed across restart: %w", ErrInterrupted))
-		return replayInterrupted
+		return terminal(StateExpired, fmt.Errorf("deadline passed across restart: %w", ErrInterrupted))
 	}
-	cjob, err := r.reparseSpec(p)
+	cjob, err := reparseSpec(p.Spec)
 	if err != nil {
-		installTerminal(StateFailed, false, fmt.Errorf("%w: %v", ErrInterrupted, err))
-		return replayInterrupted
+		return terminal(StateFailed, fmt.Errorf("%w: %v", ErrInterrupted, err))
 	}
 	j.cjob = cjob
 	j.state = StateQueued
-	j.started = time.Time{} // restarting: the old start time is void
-	r.jobs[j.id] = j
 	heap.Push(&r.queue, j)
 	r.ownerDeltaLocked(j.owner, +1, 0)
-	return replayRequeued
+	return StateQueued
 }
 
-// reparseSpec rebuilds a runnable CompileJob from a persisted spec.
-func (r *Registry) reparseSpec(p persistedJob) (thermflow.CompileJob, error) {
-	if len(p.Spec) == 0 {
+// reparseSpec rebuilds a runnable CompileJob from a logged spec.
+func reparseSpec(raw json.RawMessage) (thermflow.CompileJob, error) {
+	if len(raw) == 0 {
 		return thermflow.CompileJob{}, fmt.Errorf("no spec recorded")
 	}
 	var spec thermflow.JobSpec
-	if err := json.Unmarshal(p.Spec, &spec); err != nil {
+	if err := json.Unmarshal(raw, &spec); err != nil {
 		return thermflow.CompileJob{}, fmt.Errorf("spec unreadable: %v", err)
 	}
 	return spec.CompileJob()

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"thermflow/internal/batch"
 	"thermflow/internal/cachestore"
 	"thermflow/internal/joblog"
+	"thermflow/internal/trace"
 )
 
 // durableDirs are the two directories a durable registry survives on:
@@ -57,7 +59,7 @@ func crash(r *Registry, l *joblog.Log) {
 	r.Close()
 }
 
-func fastSpec(t *testing.T, i int) thermflow.JobSpec {
+func fastSpec(t testing.TB, i int) thermflow.JobSpec {
 	// NumRegs stays within the default floorplan; Delta keeps large
 	// indices content-distinct anyway.
 	return kernelSpec(t, "dot", thermflow.Options{
@@ -188,72 +190,89 @@ func TestReplayRequeuesLiveJobs(t *testing.T) {
 // (a) every submitted ID still resolves, (b) every job observed
 // terminal before the crash replays with the same state and a result,
 // (c) everything else converges to done.
+//
+// Each round crashes twice. The first replay compacts the log into a
+// snapshot, and the second crash comes after more submits, so the
+// second replay folds a snapshot plus a record suffix, not records
+// alone.
 func TestReplayPropertyRandomCrashPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 3; round++ {
 		dirs := newDurableDirs(t)
-		// A small snapshot cadence exercises snapshot-and-truncate
-		// mid-workload, so replay folds snapshot state plus a record
-		// suffix, not records alone.
-		r1, l1 := dirs.open(t, Config{Concurrency: 2, SnapshotEvery: 4})
-
-		n := 4 + rng.Intn(4)
-		ids := make([]string, n)
-		for i := 0; i < n; i++ {
-			var spec thermflow.JobSpec
-			if rng.Intn(2) == 0 {
-				spec = fastSpec(t, 100*round+i)
-			} else {
-				spec = slowSpec(t, 100*round+i)
-			}
-			snap, _, err := r1.Submit(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids[i] = snap.ID
-		}
-		// Force a random subset terminal before the crash.
-		for _, i := range rng.Perm(n)[:rng.Intn(n+1)] {
-			waitDone(t, r1, ids[i])
-		}
-		preCrash := make(map[string]Snapshot, n)
-		for _, id := range ids {
-			snap, err := r1.Get(id)
-			if err != nil {
-				t.Fatalf("round %d: pre-crash Get(%s): %v", round, id, err)
-			}
-			preCrash[id] = snap
-		}
-		crash(r1, l1)
-
-		r2, l2 := dirs.open(t, Config{Concurrency: 2})
-		for _, id := range ids {
-			snap, err := r2.Get(id)
-			if err != nil {
-				t.Fatalf("round %d: job %s vanished across restart: %v", round, id, err)
-			}
-			if pre := preCrash[id]; pre.State.Terminal() {
-				if snap.State != pre.State {
-					t.Fatalf("round %d: job %s replayed as %s, was %s pre-crash",
-						round, id, snap.State, pre.State)
+		r, l := dirs.open(t, Config{Concurrency: 2})
+		var ids []string
+		for life := 0; life < 2; life++ {
+			n := 4 + rng.Intn(4)
+			for i := 0; i < n; i++ {
+				k := 100*round + 10*life + i
+				var spec thermflow.JobSpec
+				if rng.Intn(2) == 0 {
+					spec = fastSpec(t, k)
+				} else {
+					spec = slowSpec(t, k)
 				}
-				if pre.State == StateDone && snap.Answer == nil {
-					t.Fatalf("round %d: done job %s replayed without a result", round, id)
+				snap, _, err := r.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, snap.ID)
+			}
+			// Force a random subset terminal before the crash.
+			for _, i := range rng.Perm(len(ids))[:rng.Intn(len(ids)+1)] {
+				waitDone(t, r, ids[i])
+			}
+			preCrash := make(map[string]Snapshot, len(ids))
+			for _, id := range ids {
+				snap, err := r.Get(id)
+				if err != nil {
+					t.Fatalf("round %d: pre-crash Get(%s): %v", round, id, err)
+				}
+				preCrash[id] = snap
+			}
+			crash(r, l)
+
+			if life == 1 {
+				peek, rec, err := joblog.Open(dirs.log, joblog.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				peek.Close()
+				if rec.Snapshot == nil || len(rec.Records) == 0 {
+					t.Fatalf("round %d: second replay reads snapshot %v and %d records, want both",
+						round, rec.Snapshot != nil, len(rec.Records))
 				}
 			}
+			r, l = dirs.open(t, Config{Concurrency: 2})
+			for _, id := range ids {
+				snap, err := r.Get(id)
+				if err != nil {
+					t.Fatalf("round %d: job %s vanished across restart: %v", round, id, err)
+				}
+				if pre := preCrash[id]; pre.State.Terminal() {
+					if snap.State != pre.State {
+						t.Fatalf("round %d: job %s replayed as %s, was %s pre-crash",
+							round, id, snap.State, pre.State)
+					}
+					if pre.State == StateDone && snap.Answer == nil {
+						t.Fatalf("round %d: done job %s replayed without a result", round, id)
+					}
+				}
+			}
 		}
 		for _, id := range ids {
-			if snap := waitDone(t, r2, id); snap.State != StateDone {
+			if snap := waitDone(t, r, id); snap.State != StateDone {
 				t.Fatalf("round %d: job %s converged to %s (%v)", round, id, snap.State, snap.Err)
 			}
 		}
-		crash(r2, l2)
+		crash(r, l)
 	}
 }
 
 // A torn final record — the bytes a crash mid-write leaves behind — is
-// discarded on replay, never fatal, and costs at most that one
-// transition: the job re-runs instead of resolving terminally.
+// discarded on replay, never fatal, and costs at most that one submit.
+// The torn job is unknown after the restart: a submit record is written
+// before the submit is answered, so in a real crash that submit was
+// never acknowledged. Submitting it again answers from the store.
 func TestReplayTornTailDiscarded(t *testing.T) {
 	dirs := newDurableDirs(t)
 	r1, l1 := dirs.open(t, Config{})
@@ -288,15 +307,143 @@ func TestReplayTornTailDiscarded(t *testing.T) {
 
 	r2, l2 := dirs.open(t, Config{})
 	defer crash(r2, l2)
-	for _, id := range ids {
-		if _, err := r2.Get(id); err != nil {
-			t.Fatalf("job %s lost to a torn tail: %v", id, err)
+	if snap, err := r2.Get(ids[0]); err != nil || snap.State != StateDone {
+		t.Fatalf("job before the torn record: %+v, %v; want done", snap, err)
+	}
+	if _, err := r2.Get(ids[1]); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("job of the torn record: %v, want ErrNotFound", err)
+	}
+	if _, created, err := r2.Submit(fastSpec(t, 11)); err != nil || !created {
+		t.Fatalf("resubmit of the torn job: created=%v, %v", created, err)
+	}
+	if snap := waitDone(t, r2, ids[1]); snap.State != StateDone || !snap.Cached {
+		t.Fatalf("resubmitted torn job: %s, cached %v (%v); want done from the store",
+			snap.State, snap.Cached, snap.Err)
+	}
+}
+
+// An orderly shutdown fails the jobs it interrupts, but the log keeps
+// only their submits, so a restart runs them again: Close cancels the
+// running job and the queued one behind it, both end failed before the
+// log closes, and after replay both run to done.
+func TestReplayRerunsJobsCancelledByClose(t *testing.T) {
+	dirs := newDurableDirs(t)
+	r1, l1 := dirs.open(t, Config{Concurrency: 1})
+	var ids []string
+	for i, want := range []State{StateRunning, StateQueued} {
+		snap, _, err := r1.Submit(heavySpec(t, 30+i))
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The job whose finish record was torn replays as queued and
-		// recomputes; content addressing converges it on the same done
-		// result either way.
+		if snap.State != want {
+			t.Fatalf("job %d: %s, want %s", i, snap.State, want)
+		}
+		ids = append(ids, snap.ID)
+	}
+	r1.Close()
+	for _, id := range ids {
+		if snap := waitDone(t, r1, id); snap.State != StateFailed {
+			t.Fatalf("job cancelled by Close: %s (%v), want failed", snap.State, snap.Err)
+		}
+	}
+	l1.Close()
+
+	r2, l2 := dirs.open(t, Config{Concurrency: 2})
+	defer crash(r2, l2)
+	for _, id := range ids {
 		if snap := waitDone(t, r2, id); snap.State != StateDone {
-			t.Fatalf("job %s after torn-tail replay: %s (%v)", id, snap.State, snap.Err)
+			t.Fatalf("replayed job: %s (%v), want done", snap.State, snap.Err)
+		}
+	}
+}
+
+// earlierRecord is the payload of every record type (1 submit,
+// 2 start, 3 finish) and the snapshot entry of the release whose log
+// recorded each job's lifecycle.
+type earlierRecord struct {
+	ID          string          `json:"id"`
+	Spec        json.RawMessage `json:"spec,omitempty"`
+	State       State           `json:"state"`
+	Cached      bool            `json:"cached,omitempty"`
+	Err         string          `json:"error,omitempty"`
+	SubmittedNS int64           `json:"submitted_ns,omitempty"`
+	StartedNS   int64           `json:"started_ns,omitempty"`
+	FinishedNS  int64           `json:"finished_ns,omitempty"`
+}
+
+// A log written in the earlier lifecycle format replays by the same
+// rule: its start and finish records and the snapshot's states are
+// skipped, a done job whose answer is in the disk tier answers done and
+// cached, and a job that was running or had failed runs again.
+func TestReplayReadsLifecycleLog(t *testing.T) {
+	dirs := newDurableDirs(t)
+	doneSpec, runningSpec, failedSpec := fastSpec(t, 40), fastSpec(t, 41), fastSpec(t, 42)
+	eng, err := NewEngine(1, cachestore.Config{Dir: dirs.cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := New(eng, Config{})
+	h, _, err := warm.SubmitTraced(doneSpec, Limits{}, trace.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := h.Wait(context.Background()); err != nil || snap.State != StateDone {
+		t.Fatalf("warming the disk tier: %+v, %v", snap, err)
+	}
+	warm.Close()
+
+	rec := func(spec thermflow.JobSpec, state State) earlierRecord {
+		id, err := spec.ID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return earlierRecord{ID: id, Spec: raw, State: state, SubmittedNS: time.Now().UnixNano()}
+	}
+	done, running, failed := rec(doneSpec, StateRunning), rec(runningSpec, StateQueued), rec(failedSpec, StateFailed)
+	done.StartedNS = time.Now().UnixNano()
+	failed.Cached, failed.Err = true, "jobs: displaced by higher-priority work at queue depth 4: shed under queue pressure"
+	failed.FinishedNS = time.Now().UnixNano()
+
+	l, _, err := joblog.Open(dirs.log, joblog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustJSON := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if err := l.Snapshot(mustJSON([]earlierRecord{failed, done})); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		typ uint32
+		p   earlierRecord
+	}{
+		{3, earlierRecord{ID: done.ID, State: StateDone, FinishedNS: time.Now().UnixNano()}},
+		{1, running},
+		{2, earlierRecord{ID: running.ID, State: StateRunning, StartedNS: time.Now().UnixNano()}},
+	} {
+		if err := l.Append(r.typ, mustJSON(r.p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+
+	r, l2 := dirs.open(t, Config{})
+	defer crash(r, l2)
+	if snap, err := r.Get(done.ID); err != nil || snap.State != StateDone || !snap.Cached || snap.Answer == nil {
+		t.Fatalf("done job: %+v, %v; want done and cached", snap, err)
+	}
+	for _, id := range []string{running.ID, failed.ID} {
+		if snap := waitDone(t, r, id); snap.State != StateDone {
+			t.Fatalf("job %s: %s (%v), want it run again to done", id, snap.State, snap.Err)
 		}
 	}
 }
@@ -458,5 +605,62 @@ func TestReplayRestoresOwnerAccounting(t *testing.T) {
 	// The cap is acme's alone: another tenant enters freely.
 	if _, _, err := r2.SubmitLimited(heavySpec(t, 21), Limits{Owner: "rival", MaxQueued: 2}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkRegistryDurability submits 1000 distinct fast jobs to a
+// registry on a two-worker engine, then waits on every one, with no
+// durable state, the job log, the disk tier, or both. Each iteration
+// starts on fresh directories, made outside the timer.
+func BenchmarkRegistryDurability(b *testing.B) {
+	specs := make([]thermflow.JobSpec, 1000)
+	for i := range specs {
+		specs[i] = fastSpec(b, i)
+	}
+	for _, bc := range []struct {
+		name      string
+		log, disk bool
+	}{{"none", false, false}, {"log", true, false}, {"disk", false, true}, {"log+disk", true, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := b.TempDir()
+				var store cachestore.Config
+				if bc.disk {
+					store.Dir = filepath.Join(dir, "cache")
+				}
+				eng, err := NewEngine(2, store)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var cfg Config
+				if bc.log {
+					if cfg.Log, _, err = joblog.Open(filepath.Join(dir, "joblog"), joblog.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				r := New(eng, cfg)
+				handles := make([]Handle, len(specs))
+				b.StartTimer()
+
+				for k, spec := range specs {
+					if handles[k], _, err = r.SubmitTraced(spec, Limits{}, trace.SpanContext{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, h := range handles {
+					if snap, err := h.Wait(context.Background()); err != nil || snap.State != StateDone {
+						b.Fatalf("job %s: %s (%v, %v)", h.ID, snap.State, snap.Err, err)
+					}
+				}
+
+				b.StopTimer()
+				r.Close()
+				if cfg.Log != nil {
+					cfg.Log.Close()
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -92,7 +92,6 @@ type Allocation struct {
 	// made once per allocation. Spilling only inserts instructions into
 	// existing blocks, so it is also Fn's estimate, bit for bit: the
 	// thermal analysis of Fn reuses it instead of estimating again.
-	// Nil on an allocation decoded from a stored result.
 	Freq *cfg.Freq
 	// Policy echoes the policy used.
 	Policy Policy

@@ -7,6 +7,7 @@ import (
 
 	"thermflow/api"
 	"thermflow/internal/joblog"
+	"thermflow/internal/jobs"
 )
 
 // The replica shelf: terminal job statuses pushed here by a fronting
@@ -20,9 +21,9 @@ import (
 // a replica answer from an owner answer.
 //
 // The shelf is joblog-backed when a log is supplied: each accepted
-// replica appends one record, and the shelf snapshots-and-truncates on
-// the same cadence as the job registry, so replicas survive a restart
-// of the successor too.
+// replica appends one record, and the shelf snapshots-and-truncates
+// every DefaultSnapshotEvery records, so replicas survive a restart of
+// the successor too.
 
 // ReplicaHeader marks a job status served from the replica shelf
 // rather than the local registry.
@@ -83,11 +84,16 @@ func NewReplicaStore(max int, l *joblog.Log, rec *joblog.Recovery) *ReplicaStore
 	return s
 }
 
-// Put shelves one replicated status (idempotent per ID; a re-push
-// overwrites, since a terminal status never regresses).
+// Put shelves one replicated status. A re-push overwrites: a failed or
+// expired job is replaced by a fresh one when its spec is submitted
+// again. A done status stays, since a done answer is final and pushes
+// may land out of order.
 func (s *ReplicaStore) Put(id, state string, body []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if have, ok := s.m[id]; ok && have.State == string(jobs.StateDone) {
+		return
+	}
 	r := replica{ID: id, State: state, Body: append([]byte(nil), body...)}
 	s.putLocked(r)
 	if s.log == nil {

@@ -176,3 +176,18 @@ func TestReplicaStoreCap(t *testing.T) {
 		}
 	}
 }
+
+// A later push replaces a shelved failure, but never a shelved done
+// answer, whatever order pushes land in.
+func TestReplicaStoreKeepsDone(t *testing.T) {
+	s := NewReplicaStore(0, nil, nil)
+	id := fakeID(0x51)
+	for _, push := range []struct{ state, want string }{
+		{"expired", "expired"}, {"failed", "failed"}, {"done", "done"}, {"expired", "done"},
+	} {
+		s.Put(id, push.state, fakeStatus(id, push.state))
+		if _, state, _ := s.Get(id); state != push.want {
+			t.Fatalf("after a %s push the shelf holds %q, want %q", push.state, state, push.want)
+		}
+	}
+}

@@ -141,13 +141,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// WriteJSON writes v with the given status.
+// WriteJSON writes v as compact JSON and a newline with the given
+// status. Clients that want indentation pipe through jq.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client is gone if this fails
+	_ = json.NewEncoder(w).Encode(v) // the client is gone if this fails
 }
 
 // WriteErr writes an api.ErrorResponse with the given status.

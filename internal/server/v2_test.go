@@ -153,6 +153,37 @@ func TestV2SubmitWaitDone(t *testing.T) {
 	}
 }
 
+// Responses are compact JSON: a done job's status body is its compact
+// encoding plus the encoder's newline.
+func TestV2StatusIsCompactJSON(t *testing.T) {
+	ts, _ := newJobsServer(t, 1, Config{})
+	var st api.JobStatus
+	if status := postJSON(t, ts.URL+"/v2/jobs", api.JobRequest{Kernel: "matmul",
+		Options: thermflow.Options{Policy: thermflow.Chessboard, NumRegs: 16}}, &st); status != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", status)
+	}
+	resp, err := http.Get(ts.URL + "/v2/jobs/" + st.ID + "/wait")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &st); err != nil || st.State != "done" {
+		t.Fatalf("status %s: %+v (%v), want done", body, st, err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil {
+		t.Fatal(err)
+	}
+	compact.WriteByte('\n')
+	if !bytes.Equal(body, compact.Bytes()) {
+		t.Fatalf("status body is %d bytes, its compact encoding %d:\n%s", len(body), compact.Len(), body)
+	}
+}
+
 // An analysis whose states leave the physical bound fails the job with
 // the analysis error: at κ = 1e9 the loop's windows pass the thermal
 // step's substep cap and its states turn NaN in the first sweep.
